@@ -9,7 +9,8 @@ Subcommands:
   discriminate   nearest-peak photon-number inference
   sweep          peak/threshold summary over a (n_e, n) grid
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation failure.
+Exit codes: 0 success, 1 usage error (including option values the library
+rejects), 2 I/O error, 3 validation failure.
 Every option may alternatively be given in a key=value file via --config
 (lists comma-separated); explicit flags win over the file.
 """
@@ -358,10 +359,7 @@ def _run_exact_compare(cfg: dict) -> dict:
 def _run_discriminate(cfg: dict) -> dict:
     if cfg["observed"] is None:
         raise UsageError("discriminate requires --observed (or observed= in the config)")
-    try:
-        report = discriminate_photon_number(cfg["n_e"], cfg["observed"], cfg["n_max"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = discriminate_photon_number(cfg["n_e"], cfg["observed"], cfg["n_max"])
     header = ["n", "tau_peak", "distance"]
     rows = [
         [k, float(report.candidate_peak_times[k]), float(report.distances[k])]
@@ -408,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve(args.command, args)
         payload = _RUNNERS[args.command](cfg)
         _emit(cfg, payload)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError: a library function rejected an option's value
         print(f"photonamp: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -4,15 +4,20 @@ Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d: the spin-j rotation matrix element d^j_{m',m}(beta)
-    about the y axis, evaluated term by term in (log-magnitude, sign) form
-    so that factorials never overflow and the alternating sum keeps digits.
+    about the y axis. It is a float64 term sum, each term formed in
+    (log-magnitude, sign) form so that factorials never overflow. Where
+    that alternating sum would cancel too many digits, the element comes
+    from the eigenbasis of J_x instead (the Fourier route of Feng, Wang,
+    Yang & Jin, Phys. Rev. E 92, 043307 (2015)), at every j.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "HalfInteger",
@@ -76,89 +81,36 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-# --- double-double helpers -------------------------------------------------
-#
-# The rotation-element sum alternates in sign and can cancel seven or more
-# digits at mid angles for j around 25, which caps a plain float64 term sum
-# near 1e-9 absolute error. When the accumulated term magnitude signals
-# that, the sum is redone with each term carried as an unevaluated pair of
-# doubles (~31 significant digits) built from exact integer factorials.
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi = p + e
-    return hi, e - (hi - p)
-
-
-def _dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    q1 = x[0] / y[0]
-    p, e = _two_prod(q1, y[0])
-    r_hi, r_lo = _two_sum(x[0], -p)
-    r_lo += x[1] - e - q1 * y[1]
-    q2 = (r_hi + r_lo) / y[0]
-    hi = q1 + q2
-    return hi, q2 - (hi - q1)
-
-
-def _dd_sqrt_int(a: int) -> tuple[float, float]:
-    """sqrt of an exact non-negative integer as a double-double."""
-    if a == 0:
-        return 0.0, 0.0
-    y = math.sqrt(a)
-    # one Newton step: y' = y + (a - y^2) / (2y), residual formed exactly;
-    # y^2 = p + e from the exact product, and p splits into its integer and
-    # fractional float parts so the big cancellation a - p happens in
-    # integer arithmetic
-    p, e = _two_prod(y, y)
-    ip = int(p)
-    r = float(a - ip) - (p - float(ip)) - e
-    return _two_sum(y, r / (2.0 * y))
-
-
-def _dd_pow(base: float, exponent: int) -> tuple[float, float]:
-    result = (1.0, 0.0)
-    square = (base, 0.0)
-    e = exponent
-    while e:
-        if e & 1:
-            result = _dd_mul(result, square)
-        square = _dd_mul(square, square)
-        e >>= 1
-    return result
-
-
-# escalate when the float64 term sum may have lost more than ~1e-13
+# The term sum alternates in sign and can cancel seven or more digits at
+# mid angles for j around 25. Escalate to the J_x eigenbasis once the
+# float64 sum may have lost more than ~1e-13, i.e. once the gross term
+# magnitude passes 1e-13 / 2.5e-16 = 400; a single term past that limit
+# escalates before it is exponentiated, so large j cannot overflow.
 _ESCALATION_THRESHOLD = 1e-13
 _FLOAT64_TERM_EPS = 2.5e-16
+_LOG_GROSS_LIMIT = math.log(_ESCALATION_THRESHOLD / _FLOAT64_TERM_EPS)
+
+
+@functools.lru_cache(maxsize=1)
+def _jx_eigenvectors(tj: int) -> np.ndarray:
+    """Eigenvectors of J_x in the |j m> basis (rows by ascending m, columns
+    by ascending eigenvalue mu = -j..j). They do not depend on the angle,
+    and every caller sweeps one j at a time, so only the latest is kept."""
+    twice_m = np.arange(-tj, tj, 2)
+    off_diagonal = 0.25 * np.sqrt((tj - twice_m) * (tj + twice_m + 2.0))
+    _, vectors = eigh_tridiagonal(np.zeros(tj + 1), off_diagonal)
+    vectors.setflags(write=False)
+    return vectors
+
+
+def _eigenbasis_element(tj: int, tmp: int, tm: int, beta: float) -> float:
+    """d^j_{m',m}(beta) = sum_k V[m',k] V[m,k] cos(beta mu_k + pi (m'-m)/2),
+    from exp(-i beta J_y) = exp(-i pi J_z/2) exp(-i beta J_x) exp(i pi J_z/2),
+    with the eigenvalues mu_k = -j..j taken exactly."""
+    vectors = _jx_eigenvectors(tj)
+    mu = 0.5 * np.arange(-tj, tj + 1, 2)
+    phase = beta * mu + 0.25 * math.pi * (tmp - tm)
+    return float(np.dot(vectors[(tj + tmp) // 2] * vectors[(tj + tm) // 2], np.cos(phase)))
 
 
 def _validate_indices(tj: int, tmp: int, tm: int) -> None:
@@ -187,7 +139,9 @@ def wigner_small_d(
     sin(beta/2); the terms are then combined with exact compensated
     summation (math.fsum). k runs over exactly the range where all four
     factorial arguments are non-negative. Bases equal to zero contribute
-    only through zero exponents (0^0 = 1).
+    only through zero exponents (0^0 = 1). When the gross term magnitude
+    says the sum would cancel below ~1e-13 absolute accuracy, the element
+    is taken from the eigenbasis of J_x instead.
 
     Satisfies d^j_{m',m}(beta) = d^j_{m,m'}(-beta).
     """
@@ -242,82 +196,19 @@ def wigner_small_d(
                 pow_s * log_abs_s if pow_s > 0 else 0.0,
             )
         )
+        if log_mag > _LOG_GROSS_LIMIT:
+            return _eigenbasis_element(tj, tmp, tm, beta)
+        magnitude = math.exp(log_mag)
+        gross += magnitude
+        if gross * _FLOAT64_TERM_EPS > _ESCALATION_THRESHOLD:
+            return _eigenbasis_element(tj, tmp, tm, beta)
         sign = -1.0 if (k - m_minus_mp) % 2 else 1.0
         if c < 0.0 and pow_c % 2:
             sign = -sign
         if s < 0.0 and pow_s % 2:
             sign = -sign
-        magnitude = math.exp(log_mag)
-        gross += magnitude
         terms.append(sign * magnitude)
-    result = math.fsum(terms)
-    if gross * _FLOAT64_TERM_EPS > _ESCALATION_THRESHOLD and tj <= 170:
-        # cancellation consumed too many float64 digits; redo the sum with
-        # double-double terms built from exact integer factorials (tj <= 170
-        # keeps each individual factorial inside the float64 range)
-        result = _term_sum_dd(
-            tj, j_plus_m, j_minus_mp, m_minus_mp, j_minus_m, j_plus_mp, c, s, k_min, k_max
-        )
-    return result
-
-
-def _int_to_dd(a: int) -> tuple[float, float]:
-    hi = float(a)
-    return hi, float(a - int(hi))
-
-
-def _term_sum_dd(
-    tj: int,
-    j_plus_m: int,
-    j_minus_mp: int,
-    m_minus_mp: int,
-    j_minus_m: int,
-    j_plus_mp: int,
-    c: float,
-    s: float,
-    k_min: int,
-    k_max: int,
-) -> float:
-    """Rotation-element sum with ~31-digit terms; same k range and sign
-    conventions as the float64 pass. Only reached when both c and s are
-    nonzero (a vanishing base leaves a single term and no cancellation)."""
-    sqrt_num = (1.0, 0.0)
-    for arg in (j_plus_m, j_minus_m, j_plus_mp, j_minus_mp):
-        sqrt_num = _dd_mul(sqrt_num, _dd_sqrt_int(math.factorial(arg)))
-
-    abs_c, abs_s = abs(c), abs(s)
-    n_terms = k_max - k_min + 1
-    # needed powers step by two; build each ladder with one multiply per rung
-    c_sq = _dd_mul((abs_c, 0.0), (abs_c, 0.0))
-    s_sq = _dd_mul((abs_s, 0.0), (abs_s, 0.0))
-    c_pows = [_dd_pow(abs_c, tj + m_minus_mp - 2 * k_max)]  # ascending exponent
-    s_pows = [_dd_pow(abs_s, 2 * k_min - m_minus_mp)]
-    for _ in range(n_terms - 1):
-        c_pows.append(_dd_mul(c_pows[-1], c_sq))
-        s_pows.append(_dd_mul(s_pows[-1], s_sq))
-
-    acc = (0.0, 0.0)
-    for k in range(k_min, k_max + 1):
-        denominator = (
-            math.factorial(j_plus_m - k)
-            * math.factorial(k)
-            * math.factorial(j_minus_mp - k)
-            * math.factorial(k - m_minus_mp)
-        )
-        term = _dd_div(sqrt_num, _int_to_dd(denominator))
-        term = _dd_mul(term, c_pows[k_max - k])
-        term = _dd_mul(term, s_pows[k - k_min])
-        pow_c = tj - 2 * k + m_minus_mp
-        pow_s = 2 * k - m_minus_mp
-        negative = (k - m_minus_mp) % 2 == 1
-        if c < 0.0 and pow_c % 2:
-            negative = not negative
-        if s < 0.0 and pow_s % 2:
-            negative = not negative
-        if negative:
-            term = (-term[0], -term[1])
-        acc = _dd_add(acc, term)
-    return acc[0] + acc[1]
+    return math.fsum(terms)
 
 
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:

@@ -34,6 +34,8 @@ class ProbabilityTrace:
             )
         if tau.size == 0:
             raise ValueError("trace needs at least one grid point")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(vals))):
+            raise ValueError("tau grid and probabilities must be finite")
         if np.any(np.diff(tau) <= 0):
             raise ValueError("tau grid must be strictly ascending")
         if np.any(vals < -VALUE_SLACK) or np.any(vals > 1.0 + VALUE_SLACK):

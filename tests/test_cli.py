@@ -119,6 +119,15 @@ class TestWigner:
         assert header[1:] == [f"d_ne{k}" for k in range(6)]
         np.testing.assert_allclose((data[:, 1:] ** 2).sum(axis=1), 1.0, atol=1e-10)
 
+    def test_rows_stay_unit_vectors_above_2j_170(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["wigner", "--n-e", "100", "--n", "100", "--tau-min", "0.7",
+                    "--tau-max", "0.71", "--grid-points", "2", "--output", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data.shape == (2, 202)
+        assert np.all(np.abs(data[:, 1:]) <= 1.0)
+        np.testing.assert_allclose((data[:, 1:] ** 2).sum(axis=1), 1.0, atol=1e-10)
+
 
 class TestExactCompare:
     def test_decreasing_deviation_passes(self, tmp_path):
@@ -231,3 +240,19 @@ class TestExitCodes:
 
     def test_bad_format_choice_is_usage_error(self):
         assert run(["fig1", "--format", "xml"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fig1", "--n-e", "-3"], "non-negative"),
+            (["fig2", "--intensity", "nan"], "intensity"),
+            (["fig3", "--n-e-max", "-1"], "non-negative"),
+            (["exact-compare", "--N", "0"], "N_atoms"),
+        ],
+        ids=["fig1", "fig2", "fig3", "exact-compare"],
+    )
+    def test_library_value_error_is_usage_error(self, argv, message, capsys):
+        assert run([*argv, "--grid-points", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("photonamp: error: ")
+        assert message in err

@@ -229,6 +229,18 @@ class TestProbabilityTrace:
         with pytest.raises(ValueError, match="equal length"):
             ProbabilityTrace(np.array([0.0, 1.0]), np.array([0.5]), {})
 
+    @pytest.mark.parametrize(
+        "tau,values",
+        [
+            ([0.0, 1.0], [math.nan, 0.5]),
+            ([0.0, math.inf], [0.1, 0.5]),
+            ([math.nan, 1.0], [0.1, 0.5]),
+        ],
+    )
+    def test_rejects_non_finite(self, tau, values):
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityTrace(np.array(tau), np.array(values), {})
+
     def test_peak_helpers(self):
         trace = ProbabilityTrace(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.9, 0.2]), {})
         assert trace.peak_time == 1.0

@@ -69,13 +69,26 @@ class TestEvolveFock:
         out = evolve_fock(TwoModeFockState(1, 1), HpEvolutionParams(tau=math.pi / 4))
         assert out.probability(0) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("n_e,n", [(1, 1), (3, 2), (0, 4), (5, 0), (4, 4)])
-    @pytest.mark.parametrize("tau", [0.37, math.pi / 4, 1.9])
-    def test_matches_expm_oracle(self, n_e, n, tau):
+    @pytest.mark.parametrize(
+        "tau,n_e,n",
+        [
+            (tau, n_e, n)
+            for tau in (0.37, math.pi / 4, 1.9)
+            for n_e, n in ((1, 1), (3, 2), (0, 4), (5, 0), (4, 4))
+        ]
+        # sectors where the term sum cancels most of its digits
+        + [(0.81, 80, 80), (0.6912, 80, 80), (0.8, 90, 90)],
+    )
+    def test_matches_expm_oracle(self, tau, n_e, n):
         total = n_e + n
         got = evolve_fock(TwoModeFockState(n_e, n), no_phase_params(tau)).amplitudes
         want = hopping_propagator(total, tau)[:, n_e]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_unit_norm_at_2j_4000(self):
+        # single terms of the rotation sum exceed the float64 range here
+        out = evolve_fock(TwoModeFockState(2000, 2000), HpEvolutionParams(tau=0.7))
+        assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     @given(
         n_e=st.integers(0, 12),

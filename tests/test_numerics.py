@@ -1,7 +1,9 @@
 """Special-function tests: log-factorials, half-integer labels, and the
-rotation kernel checked against an independent matrix-exponential oracle."""
+rotation kernel checked against independent matrix-exponential and
+high-precision term-sum oracles."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,31 @@ def spin_matrix_exponential(twice_j: int, beta: float) -> np.ndarray:
     j_y = (j_plus - j_plus.T) / 2j
     w, v = np.linalg.eigh(j_y)
     return (v @ np.diag(np.exp(-1j * beta * w)) @ v.conj().T).real
+
+
+def mpmath_small_d(twice_j: int, twice_mp: int, twice_m: int, beta: float) -> float:
+    """Independent oracle: the alternating term sum for d^j_{m',m}(beta) with
+    exact integer factorials, in 50 significant digits beyond the 2j digits
+    the sum may cancel (its gross term magnitude stays below 10^(2j))."""
+    j_plus_m, j_minus_m = (twice_j + twice_m) // 2, (twice_j - twice_m) // 2
+    j_plus_mp, j_minus_mp = (twice_j + twice_mp) // 2, (twice_j - twice_mp) // 2
+    m_minus_mp = (twice_m - twice_mp) // 2
+    f = math.factorial
+    with mpmath.workdps(50 + twice_j):
+        c = mpmath.cos(mpmath.mpf(beta) / 2)
+        s = mpmath.sin(mpmath.mpf(beta) / 2)
+        scale = mpmath.sqrt(f(j_plus_m) * f(j_minus_m) * f(j_plus_mp) * f(j_minus_mp))
+        total = mpmath.mpf(0)
+        for k in range(max(0, m_minus_mp), min(j_plus_m, j_minus_mp) + 1):
+            denominator = f(j_plus_m - k) * f(k) * f(j_minus_mp - k) * f(k - m_minus_mp)
+            total += (
+                (-1) ** (k - m_minus_mp)
+                * scale
+                / denominator
+                * c ** (twice_j - 2 * k + m_minus_mp)
+                * s ** (2 * k - m_minus_mp)
+            )
+        return float(total)
 
 
 class TestLogFactorial:
@@ -115,6 +142,26 @@ class TestWignerSmallD:
         for beta in (0.9, 1.414, 2.4):
             mat = wigner_d_matrix(25, beta)
             np.testing.assert_allclose((mat**2).sum(axis=0), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "twice_j,twice_mp,twice_m,beta",
+        [
+            (171, 31, -17, 1.3),
+            (171, -101, 45, 2.7),
+            (200, 0, 40, 2.1),
+            (200, 150, 150, 0.6),
+            (400, 100, -60, 0.9),
+            (400, 0, 0, 1.7),
+        ],
+    )
+    def test_large_j_matches_high_precision_sum(self, twice_j, twice_mp, twice_m, beta):
+        j, m_prime, m = (HalfInteger(t) for t in (twice_j, twice_mp, twice_m))
+        got = wigner_small_d(j, m_prime, m, beta)
+        assert got == pytest.approx(mpmath_small_d(twice_j, twice_mp, twice_m, beta), abs=1e-13)
+
+    def test_orthogonal_above_2j_170(self):
+        mat = wigner_d_matrix(HalfInteger(180), 1.4)
+        assert np.abs(mat @ mat.T - np.eye(181)).max() <= 1e-10
 
     @given(
         twice_j=st.integers(min_value=0, max_value=20),
