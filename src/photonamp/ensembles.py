@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import log_factorial
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -50,10 +49,12 @@ def _auto_truncation(intensity: float) -> int:
 class CoherentInput:
     """Coherent radiation of mean photon number `intensity` = |alpha|^2.
 
-    The Poisson photon-number series is truncated at truncation_nmax,
-    auto-chosen (or validated) so the discarded tail is below 1e-12. The
-    scheme is formulated for weak light; intensities >= 1 are allowed but
-    flagged via in_design_regime.
+    The detection curves and the gain sum the whole Poisson photon-number
+    series in closed form, so they involve no truncation. truncation_nmax
+    bounds only the explicit weights of photon_weights(); it is auto-chosen
+    (or validated) so the discarded tail is below 1e-12. The scheme is
+    formulated for weak light; intensities >= 1 are allowed but flagged via
+    in_design_regime.
     """
 
     intensity: float
@@ -80,13 +81,7 @@ class CoherentInput:
     def photon_weights(self) -> np.ndarray:
         """Poisson weights exp(-intensity) * intensity^n / n! for n <= nmax."""
         ns = np.arange(self.truncation_nmax + 1)
-        if self.intensity == 0.0:
-            w = np.zeros(ns.size)
-            w[0] = 1.0
-            return w
-        log_w = -self.intensity + ns * math.log(self.intensity)
-        log_w -= np.array([log_factorial(int(k)) for k in ns])
-        return np.exp(log_w)
+        return np.exp(xlogy(ns, self.intensity) - self.intensity - gammaln(ns + 1))
 
 
 @dataclass(frozen=True)
@@ -113,16 +108,58 @@ class DiscriminationReport:
     distances: np.ndarray
 
 
+def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray):
+    """Poisson average over n of P(m, n, tau) for every m = 0..n_e, in one pass.
+
+    With s2 = sin^2 and x = intensity * cos^2, the average is
+    q_m = exp(-intensity s2) s2^m L_m(-x) and its photon moment x sigma_m,
+    sigma_m = exp(-intensity s2) s2^m L^(1)_m(-x). The contiguous relations
+    q_{m+1} = s2 (q_m + x sigma_m / (m+1)), sigma_{m+1} = s2 sigma_m + q_{m+1}
+    (DLMF 18.9) add only non-negative terms, so nothing cancels, unlike the
+    three-term recurrence. exp(-intensity s2) is carried as a logarithm, so
+    the curve survives where it underflows. Returns q_{n_e}, t_{n_e},
+    sum_m q_m and sum_m t_m, with t_m = m q_m + x sigma_m the moment of the
+    n + m emitted photons.
+    """
+    if n_e < 0:
+        raise ValueError(f"n_e must be non-negative, got {n_e}")
+    s2 = np.sin(tau) ** 2
+    x = intensity * np.cos(tau) ** 2
+    log_scale = -intensity * s2
+    q, sigma = np.ones(tau.shape), np.ones(tau.shape)
+    q_sum, t_sum = np.zeros(tau.shape), np.zeros(tau.shape)
+    for m in range(n_e + 1):
+        x_sigma = x * sigma
+        t = m * q + x_sigma
+        q_sum += q
+        t_sum += t
+        if m == n_e:
+            break
+        q = s2 * (q + x_sigma / (m + 1))
+        sigma = s2 * sigma + q
+        # a step grows the pair by at most 2 + intensity: far from overflow
+        if sigma.max(initial=0.0) > 1e100:
+            scale = np.maximum(sigma, 1.0)
+            q, sigma, q_sum, t_sum = q / scale, sigma / scale, q_sum / scale, t_sum / scale
+            log_scale += np.log(scale)
+    out = np.array([q, t, q_sum, t_sum])
+    with np.errstate(divide="ignore"):  # exp(log_scale) alone may underflow
+        return np.where(
+            log_scale > -700.0, out * np.exp(log_scale), np.exp(np.log(out) + log_scale)
+        )
+
+
 def coherent_projection_probability(
     n_e: int, input: CoherentInput, tau_grid: np.ndarray
 ) -> ProbabilityTrace:
-    """Detection probability for n_e excited atoms and coherent radiation:
-    the Poisson-weighted sum of the pure Fock-input probabilities."""
+    """Detection probability for n_e excited atoms and coherent radiation,
+    exp(-lambda sin^2) sin^(2 n_e) L_{n_e}(-lambda cos^2): the Poisson sum of
+    the pure Fock-input probabilities in closed form."""
     tau = np.asarray(tau_grid, dtype=float)
-    weights = input.photon_weights()
-    values = np.zeros(tau.shape)
-    for n, w in enumerate(weights):
-        values += w * ground_projection_probabilities(n_e, n, tau)
+    if input.intensity == 0.0:  # the Fock vacuum
+        values = ground_projection_probabilities(n_e, 0, tau)
+    else:
+        values = _poisson_averages(n_e, input.intensity, tau)[0]
     return ProbabilityTrace(
         tau_grid=tau,
         values=np.minimum(values, 1.0),
@@ -130,7 +167,6 @@ def coherent_projection_probability(
             "model": "coherent",
             "n_e": n_e,
             "intensity": input.intensity,
-            "truncation_nmax": input.truncation_nmax,
             "in_design_regime": input.in_design_regime,
         },
     )
@@ -140,14 +176,9 @@ def mixed_projection_probability(
     mix: AtomicMixture, input: CoherentInput, tau_grid: np.ndarray
 ) -> ProbabilityTrace:
     """Detection probability for the uniform atomic mixture with coherent
-    radiation: Poisson sum averaged over the excitation components."""
+    radiation: the coherent curve averaged over the excitation components."""
     tau = np.asarray(tau_grid, dtype=float)
-    photon_w = input.photon_weights()
-    values = np.zeros(tau.shape)
-    for m in range(mix.n_e_max + 1):
-        for n, w in enumerate(photon_w):
-            values += w * ground_projection_probabilities(m, n, tau)
-    values /= mix.n_e_max + 1
+    values = _poisson_averages(mix.n_e_max, input.intensity, tau)[2] / (mix.n_e_max + 1)
     return ProbabilityTrace(
         tau_grid=tau,
         values=np.minimum(values, 1.0),
@@ -155,7 +186,6 @@ def mixed_projection_probability(
             "model": "mixed",
             "n_e_max": mix.n_e_max,
             "intensity": input.intensity,
-            "truncation_nmax": input.truncation_nmax,
             "in_design_regime": input.in_design_regime,
         },
     )
@@ -169,32 +199,22 @@ def intensity_gain(
 
     Every surviving component started as (m excited atoms, n photons) and
     leaves n + m photons behind; the expectation runs over the projection-
-    renormalized weights Poisson(n) * P(m, n, tau). Approaches n_e/intensity
-    for the pure state and n_e/(2*intensity) for the uniform mixture as
-    tau -> pi/2.
+    renormalized weights Poisson(n) * P(m, n, tau), summed over every n in
+    closed form. Approaches n_e/intensity for the pure state and
+    n_e/(2*intensity) for the uniform mixture as tau -> pi/2.
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
-    photon_w = input.photon_weights()
-    if isinstance(atoms, AtomicMixture):
-        m_values = range(atoms.n_e_max + 1)
-    else:
-        if atoms < 0:
-            raise ValueError(f"n_e must be >= 0, got {atoms}")
-        m_values = (atoms,)
-    total_weight = 0.0
-    total_photons = 0.0
-    for m in m_values:
-        for n, w in enumerate(photon_w):
-            p = w * ground_projection_probability(m, n, tau)
-            total_weight += p
-            total_photons += p * (n + m)
-    if total_weight <= 0.0:
+    mixture = isinstance(atoms, AtomicMixture)
+    n_e = atoms.n_e_max if mixture else atoms
+    q, t, q_sum, t_sum = _poisson_averages(n_e, input.intensity, np.array([float(tau)]))[:, 0]
+    weight, photons = (q_sum, t_sum) if mixture else (q, t)
+    if weight <= 0.0:
         raise ValueError(
             f"projection probability vanishes at tau={tau}; "
             "conditional gain is undefined"
         )
-    return total_photons / (total_weight * input.intensity)
+    return float(photons / (weight * input.intensity))
 
 
 def perception_time(n_e: int, n: int) -> float:
@@ -254,6 +274,8 @@ def discriminate_photon_number(
         raise ValueError(
             f"observed peak time must lie in (0, pi/2], got {observed_peak_time}"
         )
+    if n_e < 0:
+        raise ValueError(f"n_e must be non-negative, got {n_e}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     candidates = np.array(

@@ -244,15 +244,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["fig1", "--n-e", "-3"], "non-negative"),
-            (["fig2", "--intensity", "nan"], "intensity"),
-            (["fig3", "--n-e-max", "-1"], "non-negative"),
-            (["exact-compare", "--N", "0"], "N_atoms"),
+            (["fig1", "--n-e", "-3", "--grid-points", "4"], "non-negative"),
+            (["fig2", "--intensity", "nan", "--grid-points", "4"], "intensity"),
+            (["fig3", "--n-e-max", "-1", "--grid-points", "4"], "non-negative"),
+            (["exact-compare", "--N", "0", "--grid-points", "4"], "N_atoms"),
+            (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
         ],
-        ids=["fig1", "fig2", "fig3", "exact-compare"],
+        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate"],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
-        assert run([*argv, "--grid-points", "4"]) == 1
+        assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("photonamp: error: ")
         assert message in err

@@ -2,6 +2,7 @@
 gain, perception/threshold times, widths, and peak-time discrimination."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,41 @@ from photonamp.hp_model import ground_projection_probabilities
 from photonamp.traces import ProbabilityTrace
 
 TAU = np.linspace(0.0, math.pi, 1024)
+
+
+def mp_coherent(n_e, lam, tau):
+    """exp(-lam sin^2) sin^(2 n_e) L_{n_e}(-lam cos^2) in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        s2, c2 = mpmath.sin(tau) ** 2, mpmath.cos(tau) ** 2
+        return float(mpmath.exp(-lam * s2) * s2**n_e * mpmath.laguerre(n_e, 0, -lam * c2))
+
+
+def mp_mixed(n_e_max, lam, tau):
+    """The coherent curve averaged over n_e = 0..n_e_max, the Laguerre
+    polynomials from their three-term recurrence in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        s2, y = mpmath.sin(tau) ** 2, -lam * mpmath.cos(tau) ** 2
+        prev, lag, power, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0)
+        for m in range(n_e_max + 1):
+            total += power * lag
+            prev, lag = lag, ((2 * m + 1 - y) * lag - m * prev) / (m + 1)
+            power *= s2
+        return float(mpmath.exp(-lam * s2) * total / (n_e_max + 1))
+
+
+def mp_gain(n_e_values, lam, tau):
+    """Conditional gain from the Poisson double sum over n and the n_e values."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        s2, c2 = mpmath.sin(tau) ** 2, mpmath.cos(tau) ** 2
+        weight = photons = mpmath.mpf(0)
+        for m in n_e_values:
+            for n in range(80):
+                w = mpmath.exp(-lam) * lam**n / mpmath.factorial(n)
+                w *= mpmath.binomial(n + m, m) * c2**n * s2**m
+                weight += w
+                photons += w * (n + m)
+        return float(photons / (weight * lam))
 
 
 class TestCoherentInput:
@@ -75,6 +111,31 @@ class TestCoherentProbability:
         trace = coherent_projection_probability(3, CoherentInput(0.2), TAU)
         assert trace.meta["model"] == "coherent"
         assert trace.meta["intensity"] == 0.2
+        assert "truncation_nmax" not in trace.meta
+
+    def test_survives_underflow_of_the_poisson_factor(self):
+        # exp(-800 * 0.9615) underflows, the curve itself does not
+        tau = math.asin(math.sqrt(0.9615))
+        trace = coherent_projection_probability(20000, CoherentInput(800.0), np.array([tau]))
+        want = mp_coherent(20000, 800, tau)
+        assert want == pytest.approx(0.0102664, rel=1e-5)
+        assert trace.values[0] == pytest.approx(want, rel=1e-11)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("lam", [0.3, 0.95, 5.0])
+    @pytest.mark.parametrize("n_e", [200, 1000, 10**4])
+    def test_curves_match_mpmath(self, n_e, lam):
+        # around the pure curve's peak at pi/2, whose width is about 1/sqrt(n_e)
+        width = 1.0 / math.sqrt(n_e)
+        tau = np.array([1.0, math.pi / 2 - width, math.pi / 2 + 0.5 * width])
+        source = CoherentInput(lam)
+        pure = coherent_projection_probability(n_e, source, tau).values
+        mixed = mixed_projection_probability(AtomicMixture(n_e), source, tau).values
+        want_pure = [mp_coherent(n_e, lam, t) for t in tau]
+        want_mixed = [mp_mixed(n_e, lam, t) for t in tau]
+        np.testing.assert_allclose(pure, want_pure, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed, want_mixed, rtol=0, atol=1e-12)
 
 
 class TestMixedProbability:
@@ -93,7 +154,7 @@ class TestMixedProbability:
         source = CoherentInput(0.3)
         mixed = mixed_projection_probability(AtomicMixture(0), source, TAU)
         pure = coherent_projection_probability(0, source, TAU)
-        np.testing.assert_allclose(mixed.values, pure.values, atol=1e-15)
+        np.testing.assert_array_equal(mixed.values, pure.values)
 
     def test_mixture_weights(self):
         w = AtomicMixture(25).weights()
@@ -121,8 +182,15 @@ class TestIntensityGain:
         assert gain == pytest.approx(125.0, rel=1e-3)
 
     def test_no_excited_atoms_no_amplification_at_start(self):
-        # exact up to the 1e-12 Poisson truncation tail
-        assert intensity_gain(0, CoherentInput(0.4), 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert intensity_gain(0, CoherentInput(0.4), 0.0) == 1.0
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["pure", "mixed"])
+    def test_matches_mpmath_series(self, mixture):
+        # conditioning reweights the Poisson tail, so no truncation of the
+        # photon number bounds the error of the gain
+        atoms = AtomicMixture(25) if mixture else 25
+        want = mp_gain(range(26) if mixture else [25], 0.1, 0.3)
+        assert intensity_gain(atoms, CoherentInput(0.1), 0.3) == pytest.approx(want, rel=1e-12)
 
     def test_requires_positive_intensity(self):
         with pytest.raises(ValueError, match="intensity"):
@@ -192,6 +260,10 @@ class TestDiscrimination:
         report = discriminate_photon_number(10, 1.0, 4)
         assert report.candidate_peak_times.shape == (5,)
         assert report.distances[report.inferred_n] == report.distances.min()
+
+    def test_negative_n_e_rejected(self):
+        with pytest.raises(ValueError, match="n_e"):
+            discriminate_photon_number(-1, 0.5, 5)
 
     def test_observed_time_validated(self):
         with pytest.raises(ValueError):
