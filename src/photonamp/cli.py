@@ -36,7 +36,8 @@ from .ensembles import (
 )
 from .exact_model import build_sector, exact_projection_probability
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import HalfInteger, wigner_small_d
+from .numerics import _d_column
+from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = ["main"]
 
@@ -316,17 +317,12 @@ def _run_fig3(cfg: dict) -> dict:
 
 
 def _run_wigner(cfg: dict) -> dict:
+    n_e, n = cfg["n_e"], cfg["n"]
+    if n_e < 0 or n < 0:
+        raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     tau = _tau_grid(cfg)
-    total = cfg["n_e"] + cfg["n"]
-    j = HalfInteger(twice_value=total)
-    m = HalfInteger(twice_value=cfg["n_e"] - cfg["n"])
-    series = {}
-    for k in range(total + 1):
-        m_prime = HalfInteger(twice_value=k - (total - k))
-        series[f"d_ne{k}"] = np.array(
-            [wigner_small_d(j, m_prime, m, 2.0 * t) for t in tau]
-        )
-    return {"tau": tau, "series": series}
+    columns = np.array([_d_column(n_e + n, n_e - n, 2.0 * t) for t in tau])
+    return {"tau": tau, "series": {f"d_ne{k}": d for k, d in enumerate(columns.T)}}
 
 
 def _run_exact_compare(cfg: dict) -> dict:

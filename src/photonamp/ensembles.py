@@ -205,6 +205,8 @@ def intensity_gain(
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     mixture = isinstance(atoms, AtomicMixture)
     n_e = atoms.n_e_max if mixture else atoms
     q, t, q_sum, t_sum = _poisson_averages(n_e, input.intensity, np.array([float(tau)]))[:, 0]

@@ -18,10 +18,10 @@ which shrinks like O(1/N).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hp_model import ground_projection_probabilities
 from .traces import ProbabilityTrace
@@ -123,6 +123,9 @@ def build_sector(
     g/sqrt(N). The product is taken under a single square root so sectors
     where the coupling is exactly g (E <= 1) come out bit-exact for any N.
     """
+    for name, value in (("omega", omega), ("omega0", omega0), ("g", g)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if g <= 0:
         raise ValueError(f"coupling g must be positive, got {g}")
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
@@ -149,6 +152,9 @@ def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     rounding the fast common phase into the probabilities. Returned
     eigenvalues include the shift back.
     """
+    # deferred: scipy.linalg costs several MB at import, and only this needs it
+    from scipy.linalg import eigh_tridiagonal
+
     shift = float(np.mean(h.diagonal))
     if h.basis.dim == 1:
         return np.array([h.diagonal[0]]), np.ones((1, 1))

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HalfInteger, log_binomial, wigner_small_d
+from .numerics import _d_column, log_binomial
+from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "TwoModeFockState",
@@ -134,15 +135,10 @@ def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> Amplitude
     global_phase = cmath.exp(
         -1j * tau * (params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0)
     )
-    j = HalfInteger(twice_value=total)
-    m = HalfInteger(twice_value=state.n_e - state.n)
-    amps = np.empty(total + 1, dtype=complex)
-    for n_e_prime in range(total + 1):
-        n_prime = total - n_e_prime
-        m_prime = HalfInteger(twice_value=n_e_prime - n_prime)
-        d = wigner_small_d(j, m_prime, m, 2.0 * tau)
-        quarter_turn = cmath.exp(1j * math.pi * (m_prime.value - m.value) / 2.0)
-        amps[n_e_prime] = global_phase * d * quarter_turn
+    d = _d_column(total, state.n_e - state.n, 2.0 * tau)
+    # exp(i pi (m' - m) / 2) = i^(n_e' - n_e), taken exactly
+    quarter_turns = np.array([1, 1j, -1, -1j])[(np.arange(total + 1) - state.n_e) % 4]
+    amps = global_phase * d * quarter_turns
     return AmplitudeVector(total_quanta=total, amplitudes=amps)
 
 
@@ -158,6 +154,8 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     """
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     c_sq = math.cos(tau) ** 2
     s_sq = math.sin(tau) ** 2
     log_p = log_binomial(n + n_e, n_e)
@@ -177,6 +175,8 @@ def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> n
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     tau = np.asarray(tau_grid, dtype=float)
+    if not np.isfinite(tau).all():
+        raise ValueError("tau must be finite at every grid point")
     log_p = np.full(tau.shape, log_binomial(n + n_e, n_e))
     with np.errstate(divide="ignore"):
         if n > 0:

@@ -3,21 +3,22 @@
 Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
-  * wigner_small_d: the spin-j rotation matrix element d^j_{m',m}(beta)
-    about the y axis. It is a float64 term sum, each term formed in
-    (log-magnitude, sign) form so that factorials never overflow. Where
-    that alternating sum would cancel too many digits, the element comes
-    from the eigenbasis of J_x instead (the Fourier route of Feng, Wang,
-    Yang & Jin, Phys. Rev. E 92, 043307 (2015)), at every j.
+  * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
+    d^j_{m',m}(beta) about the y axis, read off whole columns
+    d^j_{.,m}(beta). A column comes from the three-term recurrence in m',
+    run inward from the closed-form edge values d^j_{+-j,m}(beta) until
+    the two runs meet near m' = m cos(beta) (Prezeau & Reinecke, ApJS 190,
+    267 (2010)). Each run grows away from its edge, so the tails keep
+    their relative accuracy, and an edge that would underflow is carried
+    with a separate binary exponent until the values it seeds are
+    representable. A column costs O(2j) steps and O(2j) memory at every j.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "HalfInteger",
@@ -81,49 +82,102 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-# The term sum alternates in sign and can cancel seven or more digits at
-# mid angles for j around 25. Escalate to the J_x eigenbasis once the
-# float64 sum may have lost more than ~1e-13, i.e. once the gross term
-# magnitude passes 1e-13 / 2.5e-16 = 400; a single term past that limit
-# escalates before it is exponentiated, so large j cannot overflow.
-_ESCALATION_THRESHOLD = 1e-13
-_FLOAT64_TERM_EPS = 2.5e-16
-_LOG_GROSS_LIMIT = math.log(_ESCALATION_THRESHOLD / _FLOAT64_TERM_EPS)
+# An edge below 2^_EXP_UNDERFLOW starts its run as a bare mantissa; the run
+# folds the exponent back in, at most _EXP_FOLD bits at a time, once the
+# values have grown, so no value overflows and no scaling rounds.
+_EXP_UNDERFLOW = -1000
+_EXP_FOLD = -800
+_FOLD_AT = 2.0**-_EXP_FOLD
 
 
-@functools.lru_cache(maxsize=1)
-def _jx_eigenvectors(tj: int) -> np.ndarray:
-    """Eigenvectors of J_x in the |j m> basis (rows by ascending m, columns
-    by ascending eigenvalue mu = -j..j). They do not depend on the angle,
-    and every caller sweeps one j at a time, so only the latest is kept."""
-    twice_m = np.arange(-tj, tj, 2)
-    off_diagonal = 0.25 * np.sqrt((tj - twice_m) * (tj + twice_m + 2.0))
-    _, vectors = eigh_tridiagonal(np.zeros(tj + 1), off_diagonal)
-    vectors.setflags(write=False)
-    return vectors
+def _edge(tj: int, tm: int, c: float, s: float) -> tuple[float, int]:
+    """d^j_{j,m} = (-1)^(j-m) sqrt(C(2j, j+m)) c^(j+m) s^(j-m) as a
+    mantissa and a binary exponent, each factor rounded to a few ulps even
+    where the value itself would underflow."""
+    j_plus_m, j_minus_m = (tj + tm) // 2, (tj - tm) // 2
+    binomial = math.comb(tj, j_plus_m)
+    half_shift = max(0, binomial.bit_length() - 100) // 2
+    mantissa, exponent = math.frexp(math.sqrt(binomial >> 2 * half_shift))
+    exponent += half_shift
+    for base, power in ((c, j_plus_m), (s, j_minus_m)):
+        base_mantissa, base_exponent = math.frexp(base)
+        exponent += base_exponent * power
+        while power:  # base_mantissa >= 1/2, so 1000 steps stay above 2^-1001
+            step = min(power, 1000)
+            mantissa, e = math.frexp(mantissa * base_mantissa**step)
+            exponent += e
+            power -= step
+    return (-mantissa if j_minus_m % 2 else mantissa), exponent
 
 
-def _eigenbasis_element(tj: int, tmp: int, tm: int, beta: float) -> float:
-    """d^j_{m',m}(beta) = sum_k V[m',k] V[m,k] cos(beta mu_k + pi (m'-m)/2),
-    from exp(-i beta J_y) = exp(-i pi J_z/2) exp(-i beta J_x) exp(i pi J_z/2),
-    with the eigenvalues mu_k = -j..j taken exactly."""
-    vectors = _jx_eigenvectors(tj)
-    mu = 0.5 * np.arange(-tj, tj + 1, 2)
-    phase = beta * mu + 0.25 * math.pi * (tmp - tm)
-    return float(np.dot(vectors[(tj + tmp) // 2] * vectors[(tj + tm) // 2], np.cos(phase)))
+def _descend(tj: int, tm: int, c: float, s: float, count: int) -> list[float]:
+    """d^j_{m',m} for m' = j, j-1, ... (`count` values), at a reduced angle
+    with 0 < s = sin(beta/2) <= c = cos(beta/2).
+
+    Starts from the edge m' = j and steps down with
+    a_{m'} d_{m'+1} + a_{m'-1} d_{m'-1} = 2 (m - m' cos beta) / sin beta d_{m'},
+    a_{m'} = sqrt((j+m'+1)(j-m')), where 2 (m - m' cos beta) / sin beta =
+    (m - m' + 2 m' s^2) / (s c) has no cancellation at small s.
+    """
+    cur, scale = _edge(tj, tm, c, s)
+    if scale >= _EXP_UNDERFLOW:
+        cur, scale = math.ldexp(cur, scale), 0
+    prev = 0.0
+    two_s_sq = 2.0 * s * s
+    inv_sc = 1.0 / (s * c)
+    values, scales = [cur], [scale]
+    a_above = 0.0  # a_{m'} for the current m'; a_j = 0
+    for k in range(tj, tj + 1 - count, -1):  # k = j + m', stepping to m' - 1
+        m_prime = k - 0.5 * tj
+        x = (0.5 * tm - m_prime + m_prime * two_s_sq) * inv_sc
+        while scale and abs(x * cur) > _FOLD_AT:
+            shift = max(scale, _EXP_FOLD)
+            cur, prev, scale = math.ldexp(cur, shift), math.ldexp(prev, shift), scale - shift
+        a_below = math.sqrt(k * (tj - k + 1))
+        prev, cur = cur, (x * cur - a_above * prev) / a_below
+        a_above = a_below
+        values.append(cur)
+        scales.append(scale)
+    if scales[0]:
+        values = [math.ldexp(v, e) for v, e in zip(values, scales)]
+    return values
 
 
-def _validate_indices(tj: int, tmp: int, tm: int) -> None:
-    if abs(tm) > tj or abs(tmp) > tj:
-        raise ValueError(
-            f"rotation indices out of range: |m|, |m'| must not exceed j "
-            f"(got 2j={tj}, 2m'={tmp}, 2m={tm})"
-        )
-    if (tj - tm) % 2 != 0 or (tj - tmp) % 2 != 0:
-        raise ValueError(
-            f"rotation indices have mismatched parity: j - m and j - m' must be "
-            f"integers (got 2j={tj}, 2m'={tmp}, 2m={tm})"
-        )
+def _d_column(tj: int, tm: int, beta: float) -> np.ndarray:
+    """d^j_{m',m}(beta) for every m' = -j..j in ascending order, with
+    j = tj/2 and m = tm/2 already checked.
+
+    (cos, sin)(beta/2) are reduced to 0 <= s <= c by d(beta - 2 pi) =
+    (-1)^(2j) d(beta), d_{m',m}(-beta) = (-1)^(m'-m) d_{m',m}(beta) and
+    d_{m',m}(pi - beta) = (-1)^(j-m) d_{-m',m}(beta), so sin beta is small
+    only near beta = 0, where s carries it to full relative precision; at
+    beta = 0 the column is exactly the identity's. Above the meeting point
+    the column descends from m' = j; below it, it is the mirror
+    d_{m',m} = (-1)^(m'-m) d_{-m',-m} of the descent of column -m.
+    """
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    sign = (-1.0) ** tj if c < 0.0 else 1.0
+    alternate = (c < 0.0) != (s < 0.0)
+    c, s = abs(c), abs(s)
+    mirror = s > c
+    if mirror:
+        c, s = s, c
+        sign *= (-1.0) ** ((tj - tm) // 2)
+    index_of_m = (tj + tm) // 2
+    if s < 1e-300:  # beta/2 this close to a multiple of pi: the identity's column
+        col = [0.0] * (tj + 1)
+        col[index_of_m] = 1.0
+    else:
+        meet = min(max(round(0.5 * (tj + tm * (1.0 - 2.0 * s * s))), 1), tj)
+        bottom = _descend(tj, -tm, c, s, meet) if meet else []
+        col = [-v if (i - index_of_m) % 2 else v for i, v in enumerate(bottom)]
+        col += reversed(_descend(tj, tm, c, s, tj + 1 - meet))
+    if mirror:
+        col.reverse()
+    col = np.array(col)
+    if alternate:
+        col[(index_of_m + 1) % 2 :: 2] *= -1.0
+    return sign * col
 
 
 def wigner_small_d(
@@ -132,16 +186,8 @@ def wigner_small_d(
     m: HalfInteger | int | float,
     beta: float,
 ) -> float:
-    """Rotation matrix element d^j_{m',m}(beta) = <j m'| exp(-i beta J_y) |j m>.
-
-    Each term of the alternating sum over k is assembled as a signed
-    exponential of summed log-factorials and log-powers of cos(beta/2),
-    sin(beta/2); the terms are then combined with exact compensated
-    summation (math.fsum). k runs over exactly the range where all four
-    factorial arguments are non-negative. Bases equal to zero contribute
-    only through zero exponents (0^0 = 1). When the gross term magnitude
-    says the sum would cancel below ~1e-13 absolute accuracy, the element
-    is taken from the eigenbasis of J_x instead.
+    """Rotation matrix element d^j_{m',m}(beta) = <j m'| exp(-i beta J_y) |j m>,
+    one element of the column d^j_{.,m}(beta).
 
     Satisfies d^j_{m',m}(beta) = d^j_{m,m'}(-beta).
     """
@@ -152,76 +198,25 @@ def wigner_small_d(
         raise ValueError(f"j must be non-negative, got 2j={tj}")
     if not math.isfinite(beta):
         raise ValueError(f"rotation angle must be finite, got {beta!r}")
-    _validate_indices(tj, tmp, tm)
-
-    # All of these are exact integers once the parity invariant holds.
-    j_plus_m = (tj + tm) // 2
-    j_minus_m = (tj - tm) // 2
-    j_plus_mp = (tj + tmp) // 2
-    j_minus_mp = (tj - tmp) // 2
-    m_minus_mp = (tm - tmp) // 2
-
-    half = 0.5 * beta
-    c = math.cos(half)
-    s = math.sin(half)
-    log_abs_c = math.log(abs(c)) if c != 0.0 else -math.inf
-    log_abs_s = math.log(abs(s)) if s != 0.0 else -math.inf
-
-    half_log_num = (
-        0.5 * log_factorial(j_plus_m),
-        0.5 * log_factorial(j_minus_m),
-        0.5 * log_factorial(j_plus_mp),
-        0.5 * log_factorial(j_minus_mp),
-    )
-
-    k_min = max(0, m_minus_mp)
-    k_max = min(j_plus_m, j_minus_mp)
-    terms = []
-    gross = 0.0
-    for k in range(k_min, k_max + 1):
-        pow_c = tj - 2 * k + m_minus_mp  # exponent of cos(beta/2)
-        pow_s = 2 * k - m_minus_mp  # exponent of sin(beta/2)
-        if (c == 0.0 and pow_c > 0) or (s == 0.0 and pow_s > 0):
-            continue
-        # fsum keeps the numerator/denominator cancellation exact, e.g. the
-        # identity rotation comes out as exp(0) = 1 with no residue
-        log_mag = math.fsum(
-            (
-                *half_log_num,
-                -log_factorial(j_plus_m - k),
-                -log_factorial(k),
-                -log_factorial(j_minus_mp - k),
-                -log_factorial(k - m_minus_mp),
-                pow_c * log_abs_c if pow_c > 0 else 0.0,
-                pow_s * log_abs_s if pow_s > 0 else 0.0,
-            )
+    if abs(tm) > tj or abs(tmp) > tj:
+        raise ValueError(
+            f"rotation indices out of range: |m|, |m'| must not exceed j "
+            f"(got 2j={tj}, 2m'={tmp}, 2m={tm})"
         )
-        if log_mag > _LOG_GROSS_LIMIT:
-            return _eigenbasis_element(tj, tmp, tm, beta)
-        magnitude = math.exp(log_mag)
-        gross += magnitude
-        if gross * _FLOAT64_TERM_EPS > _ESCALATION_THRESHOLD:
-            return _eigenbasis_element(tj, tmp, tm, beta)
-        sign = -1.0 if (k - m_minus_mp) % 2 else 1.0
-        if c < 0.0 and pow_c % 2:
-            sign = -sign
-        if s < 0.0 and pow_s % 2:
-            sign = -sign
-        terms.append(sign * magnitude)
-    return math.fsum(terms)
+    if (tj - tm) % 2 != 0 or (tj - tmp) % 2 != 0:
+        raise ValueError(
+            f"rotation indices have mismatched parity: j - m and j - m' must be "
+            f"integers (got 2j={tj}, 2m'={tmp}, 2m={tm})"
+        )
+    return float(_d_column(tj, tm, beta)[(tj + tmp) // 2])
 
 
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) rotation matrix, rows/columns ordered by
     ascending m', m in {-j, ..., j}."""
     tj = HalfInteger.of(j).twice_value
-    dim = tj + 1
-    out = np.empty((dim, dim))
-    for r in range(dim):
-        tmp = 2 * r - tj
-        for col in range(dim):
-            tm = 2 * col - tj
-            out[r, col] = wigner_small_d(
-                HalfInteger(tj), HalfInteger(tmp), HalfInteger(tm), beta
-            )
-    return out
+    if tj < 0:
+        raise ValueError(f"j must be non-negative, got j={j!r}")
+    if not math.isfinite(beta):
+        raise ValueError(f"rotation angle must be finite, got {beta!r}")
+    return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])

@@ -249,8 +249,9 @@ class TestExitCodes:
             (["fig3", "--n-e-max", "-1", "--grid-points", "4"], "non-negative"),
             (["exact-compare", "--N", "0", "--grid-points", "4"], "N_atoms"),
             (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
+            (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"], "n=-1"),
         ],
-        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate"],
+        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate", "wigner"],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
         assert run(argv) == 1

@@ -196,6 +196,13 @@ class TestIntensityGain:
         with pytest.raises(ValueError, match="intensity"):
             intensity_gain(5, CoherentInput(0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "atoms,tau", [(25, math.nan), (AtomicMixture(5), math.inf), (25, -math.inf)]
+    )
+    def test_non_finite_tau_rejected(self, atoms, tau):
+        with pytest.raises(ValueError, match="tau"):
+            intensity_gain(atoms, CoherentInput(0.1), tau)
+
     def test_vanishing_projection_is_an_error(self):
         # sin^50(1e-8) underflows to zero weight
         with pytest.raises(ValueError, match="vanishes"):

@@ -56,6 +56,12 @@ class TestBasisAndBuild:
         h = build_sector(2, 1, omega=1.0, omega0=1.0, g=1.0)
         assert h.off_diagonal[0] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "omega0", "g"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build_sector(10, 3, **{name: value})
+
     def test_arrays_frozen(self):
         h = build_sector(5, 3)
         with pytest.raises(ValueError):

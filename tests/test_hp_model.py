@@ -1,6 +1,7 @@
 """Beam-splitter evolution tests, cross-checked against a brute-force
 matrix exponential of the two-mode hopping generator."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestEvolveFock:
         out = evolve_fock(TwoModeFockState(2000, 2000), HpEvolutionParams(tau=0.7))
         assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("tau", [0.7, 0.025])
+    def test_2j_4000_keeps_no_quadratic_memory(self, tau):
+        # at tau = 0.025 both edges of the column lie far below the float64 range
+        tracemalloc.start()
+        try:
+            out = evolve_fock(TwoModeFockState(1000, 3000), HpEvolutionParams(tau=tau))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
+        assert held < 2**20 and peak < 4 * 2**20
+
     @given(
         n_e=st.integers(0, 12),
         n=st.integers(0, 12),
@@ -122,6 +135,13 @@ class TestGroundProjectionProbability:
             math.cos(tau) ** 6, rel=1e-12
         )
         assert ground_projection_probability(0, 0, tau) == 1.0
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            ground_projection_probability(2, 3, tau)
+        with pytest.raises(ValueError, match="tau"):
+            ground_projection_probabilities(2, 3, np.array([0.1, tau]))
 
     def test_grid_version_matches_scalar(self):
         tau = np.linspace(0.0, math.pi, 97)

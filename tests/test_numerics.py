@@ -32,29 +32,42 @@ def spin_matrix_exponential(twice_j: int, beta: float) -> np.ndarray:
     return (v @ np.diag(np.exp(-1j * beta * w)) @ v.conj().T).real
 
 
-def mpmath_small_d(twice_j: int, twice_mp: int, twice_m: int, beta: float) -> float:
-    """Independent oracle: the alternating term sum for d^j_{m',m}(beta) with
-    exact integer factorials, in 50 significant digits beyond the 2j digits
-    the sum may cancel (its gross term magnitude stays below 10^(2j))."""
+def mpmath_column(twice_j: int, twice_m: int, beta: float, twice_mps=None) -> list[float]:
+    """Independent oracle: the alternating term sum for d^j_{m',m}(beta) at
+    each requested m' (default: every m' ascending), with exact integer
+    factorials, in at least 400 significant digits and 50 beyond the 2j
+    digits the sum may cancel (its gross term magnitude stays below
+    10^(2j))."""
     j_plus_m, j_minus_m = (twice_j + twice_m) // 2, (twice_j - twice_m) // 2
-    j_plus_mp, j_minus_mp = (twice_j + twice_mp) // 2, (twice_j - twice_mp) // 2
-    m_minus_mp = (twice_m - twice_mp) // 2
-    f = math.factorial
-    with mpmath.workdps(50 + twice_j):
+    if twice_mps is None:
+        twice_mps = range(-twice_j, twice_j + 1, 2)
+    with mpmath.workdps(max(400, 50 + twice_j)):
         c = mpmath.cos(mpmath.mpf(beta) / 2)
         s = mpmath.sin(mpmath.mpf(beta) / 2)
-        scale = mpmath.sqrt(f(j_plus_m) * f(j_minus_m) * f(j_plus_mp) * f(j_minus_mp))
-        total = mpmath.mpf(0)
-        for k in range(max(0, m_minus_mp), min(j_plus_m, j_minus_mp) + 1):
-            denominator = f(j_plus_m - k) * f(k) * f(j_minus_mp - k) * f(k - m_minus_mp)
-            total += (
-                (-1) ** (k - m_minus_mp)
-                * scale
-                / denominator
-                * c ** (twice_j - 2 * k + m_minus_mp)
-                * s ** (2 * k - m_minus_mp)
-            )
-        return float(total)
+        fact = [mpmath.mpf(math.factorial(i)) for i in range(twice_j + 1)]
+        c_pow, s_pow = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for _ in range(twice_j):
+            c_pow.append(c_pow[-1] * c)
+            s_pow.append(s_pow[-1] * s)
+        out = []
+        for twice_mp in twice_mps:
+            j_plus_mp, j_minus_mp = (twice_j + twice_mp) // 2, (twice_j - twice_mp) // 2
+            m_minus_mp = (twice_m - twice_mp) // 2
+            total = mpmath.mpf(0)
+            for k in range(max(0, m_minus_mp), min(j_plus_m, j_minus_mp) + 1):
+                term = (
+                    c_pow[twice_j - 2 * k + m_minus_mp]
+                    * s_pow[2 * k - m_minus_mp]
+                    / (fact[j_plus_m - k] * fact[k] * fact[j_minus_mp - k] * fact[k - m_minus_mp])
+                )
+                total += -term if (k - m_minus_mp) % 2 else term
+            scale = mpmath.sqrt(fact[j_plus_m] * fact[j_minus_m] * fact[j_plus_mp] * fact[j_minus_mp])
+            out.append(float(scale * total))
+        return out
+
+
+def mpmath_small_d(twice_j: int, twice_mp: int, twice_m: int, beta: float) -> float:
+    return mpmath_column(twice_j, twice_m, beta, [twice_mp])[0]
 
 
 class TestLogFactorial:
@@ -152,12 +165,54 @@ class TestWignerSmallD:
             (200, 150, 150, 0.6),
             (400, 100, -60, 0.9),
             (400, 0, 0, 1.7),
+            # a float64 term sum misses these by 5.8e-13, 1.5e-13 and 2.5e-12
+            (50, 42, 10, 1.4),
+            (100, -92, 0, 1.4),
+            (400, -392, 0, 1.4),
         ],
     )
     def test_large_j_matches_high_precision_sum(self, twice_j, twice_mp, twice_m, beta):
         j, m_prime, m = (HalfInteger(t) for t in (twice_j, twice_mp, twice_m))
         got = wigner_small_d(j, m_prime, m, beta)
-        assert got == pytest.approx(mpmath_small_d(twice_j, twice_mp, twice_m, beta), abs=1e-13)
+        assert got == pytest.approx(mpmath_small_d(twice_j, twice_mp, twice_m, beta), abs=5e-14)
+
+    @pytest.mark.parametrize(
+        "twice_j,twice_m,beta",
+        [
+            (22, 2, 1.4),
+            (22, 0, 1.7),
+            (22, 2, 0.05),
+            (50, 10, 1.4),
+            (50, 0, 0.05),
+            (400, 0, 1.4),
+            (400, 0, 0.05),
+        ],
+    )
+    def test_column_matches_high_precision_sum(self, twice_j, twice_m, beta):
+        # relative accuracy in the tails too, which fall far below 1e-100
+        got = wigner_d_matrix(HalfInteger(twice_j), beta)[:, (twice_j + twice_m) // 2]
+        assert got == pytest.approx(mpmath_column(twice_j, twice_m, beta), abs=1e-13, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta",
+        [0.0, math.pi, 2 * math.pi, -math.pi, -0.8, 7.5, -13.0, 1e-12, -1e-12,
+         math.pi - 1e-12, math.pi + 1e-12],
+    )
+    def test_special_angles_match_high_precision_sum(self, beta):
+        for twice_j in (7, 12):
+            got = wigner_d_matrix(twice_j / 2, beta)
+            want = [mpmath_column(twice_j, twice_m, beta) for twice_m in range(-twice_j, twice_j + 1, 2)]
+            np.testing.assert_allclose(got, np.transpose(want), rtol=0.0, atol=2e-15)
+            np.testing.assert_allclose(got, wigner_d_matrix(twice_j / 2, -beta).T, rtol=0.0, atol=2e-15)
+
+    def test_identity_is_exact_at_large_j(self):
+        for beta in (0.0, -0.0):
+            assert np.array_equal(wigner_d_matrix(HalfInteger(401), beta), np.eye(402))
+
+    @pytest.mark.parametrize("j", [-0.5, -1])
+    def test_matrix_rejects_negative_j(self, j):
+        with pytest.raises(ValueError, match="j must be non-negative"):
+            wigner_d_matrix(j, 0.3)
 
     def test_orthogonal_above_2j_170(self):
         mat = wigner_d_matrix(HalfInteger(180), 1.4)
