@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 usage error (including option values the library
 rejects), 2 I/O error, 3 validation failure.
 Every option may alternatively be given in a key=value file via --config
-(lists comma-separated); explicit flags win over the file.
+(lists comma-separated). Its entries are parsed as flags placed ahead of the
+command line's own, so they are typed and checked like flags, and explicit
+flags win over the file.
 """
 from __future__ import annotations
 
@@ -43,10 +45,6 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    pass
-
-
-class ValidationFailure(Exception):
     pass
 
 
@@ -132,15 +130,10 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=f"emit {command} data")
         p.add_argument("--config", default=None, help="key=value file with option defaults")
         for o in opts:
-            kwargs: dict = {"dest": o.name, "default": None, "help": o.help}
-            if o.is_list:
-                kwargs["nargs"] = "+"
-                kwargs["type"] = o.type
-            else:
-                kwargs["type"] = o.type
-            if o.choices:
-                kwargs["choices"] = o.choices
-            p.add_argument(o.flag, **kwargs)
+            p.add_argument(
+                o.flag, dest=o.name, type=o.type, default=o.default, help=o.help,
+                nargs="+" if o.is_list else None, choices=o.choices,
+            )
     return parser
 
 
@@ -162,39 +155,24 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _coerce(opt: _Opt, raw: str):
-    try:
-        if opt.is_list:
-            values = [opt.type(part) for part in raw.split(",") if part != ""]
-            if not values:
-                raise ValueError("empty list")
-            return values
-        value = opt.type(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad config value for {opt.name}: {raw!r} ({exc})") from exc
-    if opt.choices and value not in opt.choices:
-        raise UsageError(f"config value for {opt.name} must be one of {opt.choices}")
-    return value
-
-
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file entries over built-in defaults."""
-    file_entries: dict[str, str] = {}
-    if args.config:
-        file_entries = _parse_config_file(args.config)
-    known = {o.name for o in _COMMAND_OPTS[command]}
-    unknown = set(file_entries) - known
+def _config_flags(command: str, path: str) -> list[str]:
+    """A config file's entries as flags of the command's subparser."""
+    entries = _parse_config_file(path)
+    opts = {o.name: o for o in _COMMAND_OPTS[command]}
+    unknown = set(entries) - set(opts)
     if unknown:
         raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
-    cfg: dict = {"command": command}
-    for opt in _COMMAND_OPTS[command]:
-        value = getattr(args, opt.name)
-        if value is None and opt.name in file_entries:
-            value = _coerce(opt, file_entries[opt.name])
-        if value is None:
-            value = opt.default
-        cfg[opt.name] = value
-    return cfg
+    flags = []
+    for key, raw in entries.items():
+        opt = opts[key]
+        if not opt.is_list:
+            flags.append(f"{opt.flag}={raw}")
+            continue
+        values = [part for part in raw.split(",") if part != ""]
+        if not values:
+            raise UsageError(f"bad config value for {key}: {raw!r} (empty list)")
+        flags += [opt.flag, *values]
+    return flags
 
 
 def _tau_grid(cfg: dict) -> np.ndarray:
@@ -222,16 +200,10 @@ def _render_table(header: list[str], columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _emit(cfg: dict, payload: dict) -> None:
@@ -242,15 +214,15 @@ def _emit(cfg: dict, payload: dict) -> None:
     body and to stderr for csv output.
     """
     if cfg["format"] == "json":
-        body = {"config": _jsonable(cfg)}
+        body = {"config": cfg}
         if "tau" in payload:
-            body["tau"] = _jsonable(payload["tau"])
-            body["series"] = _jsonable(payload["series"])
+            body["tau"] = payload["tau"]
+            body["series"] = payload["series"]
         else:
             body["columns"] = payload["header"]
-            body["rows"] = _jsonable(payload["rows"])
-        body["summary"] = _jsonable(payload.get("summary", {}))
-        text = json.dumps(body, indent=2) + "\n"
+            body["rows"] = payload["rows"]
+        body["summary"] = payload.get("summary", {})
+        text = json.dumps(body, indent=2, default=_json_default) + "\n"
     else:
         if "tau" in payload:
             header = ["tau"] + list(payload["series"].keys())
@@ -259,7 +231,8 @@ def _emit(cfg: dict, payload: dict) -> None:
         else:
             text = _render_table(payload["header"], list(map(np.asarray, zip(*payload["rows"]))))
         if payload.get("summary"):
-            print(f"summary: {json.dumps(_jsonable(payload['summary']))}", file=sys.stderr)
+            summary = json.dumps(payload["summary"], default=_json_default)
+            print(f"summary: {summary}", file=sys.stderr)
     if cfg["output_path"]:
         with open(cfg["output_path"], "w", newline="\n") as fh:
             fh.write(text)
@@ -268,8 +241,6 @@ def _emit(cfg: dict, payload: dict) -> None:
 
 
 def _run_fig1(cfg: dict) -> dict:
-    if not cfg["n_e"] or not cfg["n"]:
-        raise UsageError("fig1 needs at least one n_e and one n")
     tau = _tau_grid(cfg)
     series = {
         f"p_ne{a}_n{b}": ground_projection_probabilities(a, b, tau)
@@ -280,8 +251,6 @@ def _run_fig1(cfg: dict) -> dict:
 
 
 def _run_fig2(cfg: dict) -> dict:
-    if not cfg["n_e"] or not cfg["intensity"]:
-        raise UsageError("fig2 needs at least one n_e and one intensity")
     tau = _tau_grid(cfg)
     series = {}
     for a in cfg["n_e"]:
@@ -292,8 +261,6 @@ def _run_fig2(cfg: dict) -> dict:
 
 
 def _run_fig3(cfg: dict) -> dict:
-    if not cfg["intensity"]:
-        raise UsageError("fig3 needs at least one intensity")
     tau = _tau_grid(cfg)
     series = {}
     summary = {}
@@ -326,8 +293,6 @@ def _run_wigner(cfg: dict) -> dict:
 
 
 def _run_exact_compare(cfg: dict) -> dict:
-    if not cfg["N"]:
-        raise UsageError("exact-compare needs at least one N")
     tau = _tau_grid(cfg)
     n_e, n = cfg["n_e"], cfg["n"]
     closed_form = ground_projection_probabilities(n_e, n, tau)
@@ -343,7 +308,7 @@ def _run_exact_compare(cfg: dict) -> dict:
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     summary = {"max_deviation": max_devs, "monotone_decreasing": monotone}
     payload = {"tau": tau, "series": series, "summary": summary}
-    if not monotone and len(devs) > 1:
+    if not monotone:
         payload["validation_error"] = (
             "max deviation is not strictly decreasing across N="
             f"{cfg['N']}: {devs}; increase the N spacing or check the sector "
@@ -366,8 +331,6 @@ def _run_discriminate(cfg: dict) -> dict:
 
 
 def _run_sweep(cfg: dict) -> dict:
-    if not cfg["n_e"] or not cfg["n"]:
-        raise UsageError("sweep needs at least one n_e and one n")
     header = ["n_e", "n", "tau_peak", "tau_threshold", "p_peak"]
     rows = []
     for a in cfg["n_e"]:
@@ -394,12 +357,19 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        cfg = _resolve(args.command, args)
+        if args.config:
+            # after the command, ahead of its own flags: the last one wins
+            at = argv.index(args.command) + 1
+            file_flags = _config_flags(args.command, args.config)
+            args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+        cfg = {"command": args.command}
+        cfg.update((o.name, getattr(args, o.name)) for o in _COMMAND_OPTS[args.command])
         payload = _RUNNERS[args.command](cfg)
         _emit(cfg, payload)
     except (UsageError, ValueError) as exc:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
+from .numerics import _require_whole
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -65,7 +66,9 @@ class CoherentInput:
             raise ValueError(f"intensity must be a finite non-negative real: {self.intensity!r}")
         if self.truncation_nmax is None:
             object.__setattr__(self, "truncation_nmax", _auto_truncation(self.intensity))
-        elif self.truncation_nmax < 0 or _poisson_tail(
+            return
+        _require_whole(truncation_nmax=self.truncation_nmax)
+        if self.truncation_nmax < 0 or _poisson_tail(
             self.truncation_nmax, self.intensity
         ) >= POISSON_TAIL_BOUND:
             raise ValueError(
@@ -94,6 +97,7 @@ class AtomicMixture:
     def __post_init__(self) -> None:
         if self.n_e_max < 0:
             raise ValueError(f"n_e_max must be >= 0, got {self.n_e_max}")
+        _require_whole(n_e_max=self.n_e_max)
 
     def weights(self) -> np.ndarray:
         return np.full(self.n_e_max + 1, 1.0 / (self.n_e_max + 1))
@@ -123,6 +127,7 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray):
     """
     if n_e < 0:
         raise ValueError(f"n_e must be non-negative, got {n_e}")
+    _require_whole(n_e=n_e)
     s2 = np.sin(tau) ** 2
     x = intensity * np.cos(tau) ** 2
     log_scale = -intensity * s2
@@ -229,6 +234,7 @@ def perception_time(n_e: int, n: int) -> float:
     """
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
+    _require_whole(n_e=n_e, n=n)
     if n_e == 0 and n == 0:
         return math.pi / 2.0
     return math.acos(math.sqrt(n / (n + n_e)))
@@ -268,7 +274,7 @@ def discriminate_photon_number(
 ) -> DiscriminationReport:
     """Infer the input photon number from an observed detection maximum.
 
-    The candidate peak times arccos(sqrt(n / (n + n_e))) for n = 0..n_max
+    The candidate peak times perception_time(n_e, n) for n = 0..n_max
     are well separated for n_e a few times larger than n; the nearest one
     wins, with ties resolved toward smaller n.
     """
@@ -276,14 +282,11 @@ def discriminate_photon_number(
         raise ValueError(
             f"observed peak time must lie in (0, pi/2], got {observed_peak_time}"
         )
-    if n_e < 0:
-        raise ValueError(f"n_e must be non-negative, got {n_e}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    candidates = np.array(
-        [math.acos(math.sqrt(n / (n + n_e))) if n + n_e else math.pi / 2.0
-         for n in range(n_max + 1)]
-    )
+    _require_whole(n_max=n_max)
+    # perception_time checks n_e at the first candidate, n = 0
+    candidates = np.array([perception_time(n_e, n) for n in range(n_max + 1)])
     distances = np.abs(candidates - observed_peak_time)
     inferred = int(np.argmin(distances))  # argmin takes the first, i.e. smallest n
     return DiscriminationReport(

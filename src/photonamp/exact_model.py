@@ -19,11 +19,12 @@ which shrinks like O(1/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .hp_model import ground_projection_probabilities
+from .numerics import _require_whole
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -53,6 +54,7 @@ class SectorBasis:
             raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
         if self.total_excitation < 0:
             raise ValueError(f"total excitation must be >= 0, got {self.total_excitation}")
+        _require_whole(N_atoms=self.N_atoms, total_excitation=self.total_excitation)
         E = self.total_excitation
         dim = min(self.N_atoms, E) + 1
         object.__setattr__(
@@ -65,6 +67,7 @@ class SectorBasis:
 
     def index_of(self, n_e: int, n: int) -> int:
         """Position of |n_e; n> in the block; raises if outside it."""
+        _require_whole(n_e=n_e, n=n)
         if n_e + n != self.total_excitation or not 0 <= n_e < self.dim or n < 0:
             raise ValueError(
                 f"state (n_e={n_e}, n={n}) is not in the sector with "
@@ -123,6 +126,7 @@ def build_sector(
     g/sqrt(N). The product is taken under a single square root so sectors
     where the coupling is exactly g (E <= 1) come out bit-exact for any N.
     """
+    _require_whole(N_atoms=N_atoms, E=E)
     for name, value in (("omega", omega), ("omega0", omega0), ("g", g)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -176,10 +180,11 @@ def exact_projection_probability(
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
     tau = np.asarray(tau_grid, dtype=float)
-    w, v = eigensystem(h)
-    w_centered = w - np.mean(w)  # global phase only; keeps exp arguments small
+    # factor the centred block: the mean diagonal (about -N/2) is a global
+    # phase, and eigenvalues shifted back by it would carry its rounding
+    w, v = eigensystem(replace(h, diagonal=h.diagonal - np.mean(h.diagonal)))
     weights = v[0, :] * v[i_init, :]
-    amps = weights @ np.exp(-1j * np.outer(w_centered, tau / h.g))
+    amps = weights @ np.exp(-1j * np.outer(w, tau / h.g))
     values = np.abs(amps) ** 2
     return ProbabilityTrace(
         tau_grid=tau,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _d_column, log_binomial
+from .numerics import _d_column, _require_whole, log_binomial
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -51,6 +51,7 @@ class TwoModeFockState:
     def __post_init__(self) -> None:
         if self.n_e < 0 or self.n < 0:
             raise ValueError(f"occupation numbers must be non-negative: {self}")
+        _require_whole(n_e=self.n_e, n=self.n)
 
     @property
     def total_quanta(self) -> int:
@@ -84,6 +85,7 @@ class HpEvolutionParams:
             )
         if self.N_atoms < 1:
             raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
+        _require_whole(N_atoms=self.N_atoms)
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,7 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     """
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
+    _require_whole(n_e=n_e, n=n)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     c_sq = math.cos(tau) ** 2
@@ -174,6 +177,7 @@ def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> n
     """Vectorized ground_projection_probability over a grid of scaled times."""
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
+    _require_whole(n_e=n_e, n=n)
     tau = np.asarray(tau_grid, dtype=float)
     if not np.isfinite(tau).all():
         raise ValueError("tau must be finite at every grid point")

@@ -2,6 +2,7 @@
 
 Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
+  * _require_whole: the whole-number check on the other layers' counts.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
     d^j_{m',m}(beta) about the y axis, read off whole columns
@@ -66,6 +67,13 @@ class HalfInteger:
         if self.is_integer:
             return str(self.twice_value // 2)
         return f"{self.twice_value}/2"
+
+
+def _require_whole(**counts) -> None:
+    """Raise a ValueError naming the first count that is not a whole number."""
+    for name, value in counts.items():
+        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def log_factorial(k: int) -> float:

@@ -1,12 +1,20 @@
 """Command-line behavior: schemas, determinism, config-file merging, and
 the documented exit codes (0 ok, 1 usage, 2 i/o, 3 validation)."""
+import importlib.util
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonamp
 from photonamp.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -218,6 +226,33 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, capsys):
         assert run(["fig1", "--config", "/no/such/file.cfg"]) == 1
 
+    @pytest.mark.parametrize(
+        "entry,flags,message",
+        [
+            ("format=xml", ["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            ("grid_points=x", ["--grid-points", "x"], "argument --grid-points: invalid int value"),
+            ("n_e=-3", ["--n-e", "-3"], "n_e=-3"),
+        ],
+        ids=["format", "grid_points", "n_e"],
+    )
+    def test_bad_value_fails_as_the_flag_does(self, entry, flags, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        assert run(["fig1", "--config", str(cfg)]) == 1
+        from_file = capsys.readouterr().err
+        assert run(["fig1", *flags]) == 1
+        assert capsys.readouterr().err == from_file
+        assert message in from_file
+
+    def test_config_then_flags_equals_flags_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_e=2, 7\nn=0,1\ngrid_points=9\ntau_max=1.5\nformat=json\n")
+        assert run(["fig1", "--config", str(cfg), "--n", "4", "--tau-min", "0.5"]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["fig1", "--n-e", "2", "7", "--n", "4", "--grid-points", "9",
+                    "--tau-max", "1.5", "--tau-min", "0.5", "--format", "json"]) == 0
+        assert capsys.readouterr().out == from_file
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
@@ -258,3 +293,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("photonamp: error: ")
         assert message in err
+
+
+def python_m_photonamp(*args):
+    src = str(pathlib.Path(photonamp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "photonamp", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestEntryPoints:
+    def test_python_m_writes_csv(self):
+        done = python_m_photonamp("fig1", "--grid-points", "4")
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("tau,p_ne1_n0,")
+        assert len(lines) == 5
+
+    def test_python_m_without_command_is_usage_error(self):
+        done = python_m_photonamp()
+        assert done.returncode == 1
+        assert "subcommand" in done.stderr
+
+    def test_figure_script_writes_its_five_files(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "make_figure_data", ROOT / "scripts" / "make_figure_data.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run_all(tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "exact_compare_ne3_n2.json",
+            "fig1_fock_inputs.csv",
+            "fig2_coherent_inputs.csv",
+            "fig3_pure_vs_mixed.json",
+            "peak_threshold_sweep.csv",
+        ]

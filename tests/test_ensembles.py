@@ -253,6 +253,32 @@ class TestThresholdTime:
             assert ground_projection_probability(n_e, n, tau) == pytest.approx(eps, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda: AtomicMixture(2.5), "n_e_max"),
+        (lambda: CoherentInput(0.1, truncation_nmax=30.5), "truncation_nmax"),
+        (lambda: perception_time(2.5, 1), "n_e"),
+        (lambda: perception_time(math.nan, 1), "n_e"),
+        (lambda: threshold_time(2.5, 1), "n_e"),
+        (lambda: discriminate_photon_number(2.5, 0.5, 3), "n_e"),
+        (lambda: discriminate_photon_number(3, 0.5, 2.5), "n_max"),
+        (lambda: coherent_projection_probability(2.5, CoherentInput(0.1), TAU), "n_e"),
+        (lambda: intensity_gain(2.5, CoherentInput(0.1), 0.5), "n_e"),
+    ],
+    ids=["mixture", "truncation", "perception", "perception-nan", "threshold",
+         "discriminate-n_e", "discriminate-n_max", "coherent", "gain"],
+)
+def test_fractional_count_rejected(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        make()
+
+
+def test_whole_valued_counts_still_accepted():
+    assert perception_time(3.0, 1.0) == perception_time(np.int64(3), 1) == math.acos(0.5)
+    assert discriminate_photon_number(np.int64(10), 0.9553, np.int64(10)).inferred_n == 5
+
+
 class TestDiscrimination:
     def test_exact_match_dark(self):
         assert discriminate_photon_number(10, math.pi / 2, 10).inferred_n == 0
@@ -266,6 +292,7 @@ class TestDiscrimination:
     def test_report_contents(self):
         report = discriminate_photon_number(10, 1.0, 4)
         assert report.candidate_peak_times.shape == (5,)
+        assert list(report.candidate_peak_times) == [perception_time(10, n) for n in range(5)]
         assert report.distances[report.inferred_n] == report.distances.min()
 
     def test_negative_n_e_rejected(self):

@@ -62,6 +62,20 @@ class TestBasisAndBuild:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             build_sector(10, 3, **{name: value})
 
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda: build_sector(10.5, 3), "N_atoms"),
+            (lambda: build_sector(10, 3.5), "E"),
+            (lambda: SectorBasis(N_atoms=4, total_excitation=2.5), "total_excitation"),
+            (lambda: exact_projection_probability(build_sector(10, 3), (2.5, 0.5), TAU_256), "n_e"),
+        ],
+        ids=["N_atoms", "E", "basis", "initial-state"],
+    )
+    def test_fractional_count_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            make()
+
     def test_arrays_frozen(self):
         h = build_sector(5, 3)
         with pytest.raises(ValueError):
@@ -105,6 +119,18 @@ class TestExactEvolution:
         for i, tau in enumerate(taus):
             u = expm(-1j * dense * tau / h.g)
             assert trace.values[i] == pytest.approx(abs(u[0, init]) ** 2, abs=1e-9)
+
+    @pytest.mark.parametrize("N,E", [(10**6, 5), (10**8, 6)])
+    def test_large_N_matches_dense_expm_of_centred_block(self, N, E):
+        # the mean diagonal, about -N/2, is a global phase; eigenvalues shifted
+        # back by it are rounded to the spacing of floats near N/2
+        h = build_sector(N, E)
+        centred = h.dense() - np.mean(h.diagonal) * np.eye(h.basis.dim)
+        taus = np.linspace(0.3, 3.0, 9)
+        for init, state in enumerate(h.basis.states):
+            trace = exact_projection_probability(h, state, taus)
+            want = [abs(expm(-1j * centred * t)[0, init]) ** 2 for t in taus]
+            np.testing.assert_allclose(trace.values, want, rtol=0, atol=1e-13)
 
     def test_detuned_matches_dense_expm(self):
         h = build_sector(20, 2, omega=2.0, omega0=1.5, g=1.0)

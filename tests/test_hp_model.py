@@ -50,6 +50,21 @@ class TestStateAndParams:
         with pytest.warns(UserWarning, match="O\\(quanta/N\\)"):
             evolve_fock(TwoModeFockState(2, 0), params)
 
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda: TwoModeFockState(2.5, 0), "n_e"),
+            (lambda: TwoModeFockState(0, 1.5), "n"),
+            (lambda: HpEvolutionParams(0.3, N_atoms=2.5), "N_atoms"),
+            (lambda: ground_projection_probability(2.5, 1, 0.5), "n_e"),
+            (lambda: ground_projection_probabilities(1, 0.5, np.array([0.5])), "n"),
+        ],
+        ids=["state-n_e", "state-n", "params-N_atoms", "closed-form", "closed-form-grid"],
+    )
+    def test_fractional_count_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            make()
+
     def test_amplitude_vector_requires_unit_norm(self):
         with pytest.raises(ValueError, match="normalized"):
             AmplitudeVector(total_quanta=1, amplitudes=np.array([0.5, 0.5]))
