@@ -67,7 +67,8 @@ class CoherentInput:
         if self.truncation_nmax is None:
             object.__setattr__(self, "truncation_nmax", _auto_truncation(self.intensity))
             return
-        _require_whole(truncation_nmax=self.truncation_nmax)
+        (nmax,) = _require_whole(truncation_nmax=self.truncation_nmax)
+        object.__setattr__(self, "truncation_nmax", nmax)
         if self.truncation_nmax < 0 or _poisson_tail(
             self.truncation_nmax, self.intensity
         ) >= POISSON_TAIL_BOUND:
@@ -97,7 +98,8 @@ class AtomicMixture:
     def __post_init__(self) -> None:
         if self.n_e_max < 0:
             raise ValueError(f"n_e_max must be >= 0, got {self.n_e_max}")
-        _require_whole(n_e_max=self.n_e_max)
+        (n_e_max,) = _require_whole(n_e_max=self.n_e_max)
+        object.__setattr__(self, "n_e_max", n_e_max)
 
     def weights(self) -> np.ndarray:
         return np.full(self.n_e_max + 1, 1.0 / (self.n_e_max + 1))
@@ -127,7 +129,7 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray):
     """
     if n_e < 0:
         raise ValueError(f"n_e must be non-negative, got {n_e}")
-    _require_whole(n_e=n_e)
+    (n_e,) = _require_whole(n_e=n_e)
     s2 = np.sin(tau) ** 2
     x = intensity * np.cos(tau) ** 2
     log_scale = -intensity * s2
@@ -234,7 +236,7 @@ def perception_time(n_e: int, n: int) -> float:
     """
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
-    _require_whole(n_e=n_e, n=n)
+    n_e, n = _require_whole(n_e=n_e, n=n)
     if n_e == 0 and n == 0:
         return math.pi / 2.0
     return math.acos(math.sqrt(n / (n + n_e)))
@@ -284,7 +286,7 @@ def discriminate_photon_number(
         )
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    _require_whole(n_max=n_max)
+    (n_max,) = _require_whole(n_max=n_max)
     # perception_time checks n_e at the first candidate, n = 0
     candidates = np.array([perception_time(n_e, n) for n in range(n_max + 1)])
     distances = np.abs(candidates - observed_peak_time)

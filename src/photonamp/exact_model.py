@@ -15,6 +15,13 @@ This module is the finite-N reference against which the bosonized
 beam-splitter picture is checked: `hp_deviation` measures how far the
 exact ground-projection probability sits from the closed binomial form,
 which shrinks like O(1/N).
+
+The projection probability needs only the products v[0, k] * v[i, k] of
+two rows of the eigenvector matrix. Blocks of dimension above
+_DENSE_MAX_DIM get them without the eigenvectors: LAPACK's eigenvalues
+plus one twisted factorization per eigenvalue, in O(dim) memory and
+O(dim^2) time. Smaller blocks use LAPACK's dense eigenvectors, which are
+faster there.
 """
 from __future__ import annotations
 
@@ -36,6 +43,22 @@ __all__ = [
     "hp_deviation",
 ]
 
+# Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
+# the twisted factorizations. With a 256-point grid on a 2-vCPU Xeon a whole
+# call takes 2.6 against 4.9 ms at dim 98 and 24 against 26 ms at dim 501,
+# 33 against 24 ms at dim 601.
+_DENSE_MAX_DIM = 512
+# The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
+# its complex temporaries hold about this many elements.
+_BLOCK = 1 << 16
+# A twisted-factorization weight is at most |x_0/x_r|; eigenvalues where
+# that is below this are dropped, which moves an amplitude by less than
+# dim * 1e-20.
+_NEGLIGIBLE = 1e-20
+# Allowed |sum_k v[0, k]^2 - 1| of the twisted eigenvectors; the tested
+# build_sector blocks, dim 451 to 10^4, stay below 2e-14.
+_COMPLETENESS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SectorBasis:
@@ -54,9 +77,10 @@ class SectorBasis:
             raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
         if self.total_excitation < 0:
             raise ValueError(f"total excitation must be >= 0, got {self.total_excitation}")
-        _require_whole(N_atoms=self.N_atoms, total_excitation=self.total_excitation)
-        E = self.total_excitation
-        dim = min(self.N_atoms, E) + 1
+        N, E = _require_whole(N_atoms=self.N_atoms, total_excitation=self.total_excitation)
+        object.__setattr__(self, "N_atoms", N)
+        object.__setattr__(self, "total_excitation", E)
+        dim = min(N, E) + 1
         object.__setattr__(
             self, "states", tuple((n_e, E - n_e) for n_e in range(dim))
         )
@@ -67,7 +91,7 @@ class SectorBasis:
 
     def index_of(self, n_e: int, n: int) -> int:
         """Position of |n_e; n> in the block; raises if outside it."""
-        _require_whole(n_e=n_e, n=n)
+        n_e, n = _require_whole(n_e=n_e, n=n)
         if n_e + n != self.total_excitation or not 0 <= n_e < self.dim or n < 0:
             raise ValueError(
                 f"state (n_e={n_e}, n={n}) is not in the sector with "
@@ -126,7 +150,7 @@ def build_sector(
     g/sqrt(N). The product is taken under a single square root so sectors
     where the coupling is exactly g (E <= 1) come out bit-exact for any N.
     """
-    _require_whole(N_atoms=N_atoms, E=E)
+    N_atoms, E = _require_whole(N_atoms=N_atoms, E=E)
     for name, value in (("omega", omega), ("omega0", omega0), ("g", g)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -166,6 +190,139 @@ def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return w + shift, v
 
 
+def _deepest_sites(w: np.ndarray, a: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """argmin_j |w_k - a_j| - reach_j for every w_k, in O(dim log dim).
+
+    A site with a_j <= w scores w - (a_j + reach_j) and one with a_j > w
+    scores (a_j - reach_j) - w, so the best site of each kind is a running
+    extreme over the sites sorted by a_j, from the low end or the high end.
+    """
+    order = np.argsort(a, kind="stable")
+    pos = np.arange(a.size)
+
+    def running_argmin(score):  # latest position of the running minimum
+        return np.maximum.accumulate(np.where(score == np.minimum.accumulate(score), pos, 0))
+
+    below = order[running_argmin(-(a + reach)[order])]
+    desc = order[::-1]
+    above = desc[running_argmin((a - reach)[desc])][::-1]
+    k = np.searchsorted(a[order], w, side="right")  # sites with a_j <= w
+    sites = np.array([below[np.maximum(k - 1, 0)], above[np.minimum(k, a.size - 1)]])
+    score = np.abs(w - a[sites]) - reach[sites]
+    return sites[np.argmin(score, axis=0), np.arange(w.size)]
+
+
+def _twisted_weights(
+    a: np.ndarray, b: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues w_k of the tridiagonal matrix T with diagonal a and
+    nonzero off-diagonal b, and the products v[0, k] * v[i, k] of its unit
+    eigenvectors, in O(dim) memory; the products are None when the
+    computed first components fail sum_k v[0, k]^2 = 1.
+
+    Each eigenvector x solves a twisted factorization of T - w_k
+    (Dhillon & Parlett, SIMAX 25 (2004) 858): with x_r = 1 at the twist r,
+    the top-down LDL^T pivots d_j give x_j = -b_j x_{j+1} / d_j above r and
+    the bottom-up pivots p_j give x_j = -b_{j-1} x_{j-1} / p_j below it.
+    A top-down and a bottom-up pass carry, for every eigenvalue at once,
+    the pivot, x_0/x_j, x_i/x_j and the partial sum of (x_k/x_j)^2, so the
+    weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the squared
+    first component of Golub & Welsch (1969). The twist is the deepest
+    point of the eigenvalue's classical region,
+    argmin_j |w - a_j| - (b_{j-1} + b_j), or the next index where that has
+    the smaller twist element gamma = d_r + p_r - (a_r - w), that is the
+    larger |x_r|. The eigenvalues come back sorted by their twist, so each
+    step of a pass works on one contiguous slice. A zero pivot is replaced
+    by one rounding unit of the matrix norm, a backward-stable change of
+    one diagonal element.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
+
+    n = a.size
+    w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
+    reach = np.zeros(n)
+    reach[:-1] += np.abs(b)
+    reach[1:] += np.abs(b)
+    r = _deepest_sites(w, a, reach)
+    order = np.argsort(r, kind="stable")
+    w, r = w[order], r[order]
+    first = np.searchsorted(r, np.arange(n + 1))  # first eigenvalue with twist >= j
+    # an exact zero pivot moves by one rounding unit of the matrix
+    pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
+    ratio = np.empty(n)
+
+    # top-down: d_j, x_0/x_j, x_i/x_j, sum_{k<j} (x_k/x_j)^2; kept at r in
+    # top_r, and run on to r + 1 in top
+    top = np.zeros((4, n))
+    top[0] = a[0] - w
+    top[1] = 1.0
+    top_r = np.empty((4, n))
+    for j in range(n):
+        lo = first[j]
+        if j == i:
+            top[2, lo:] = 1.0
+        top_r[:, lo:first[j + 1]] = top[:, lo:first[j + 1]]
+        if j == n - 1:
+            break
+        d, x0, xi, s, f = *top[:, lo:], ratio[lo:]
+        d[d == 0.0] = pivmin
+        np.divide(-b[j], d, out=f)  # x_j / x_{j+1}
+        x0 *= f
+        if j >= i:
+            xi *= f
+        s += 1.0
+        s *= f
+        s *= f
+        np.multiply(f, b[j], out=d)
+        d += a[j + 1]
+        d -= w[lo:]
+
+    # |weight| <= |x_0/x_r|: drop the eigenvalues whose weight is below
+    # _NEGLIGIBLE at either twist before the bottom-up pass
+    keep = np.maximum(np.abs(top_r[1]), np.abs(top[1])) >= _NEGLIGIBLE
+    w, r, top, top_r = w[keep], r[keep], top[:, keep], top_r[:, keep]
+    first = np.searchsorted(r, np.arange(n + 1))
+
+    # bottom-up: p_j, x_i/x_j, sum_{k>j} (x_k/x_j)^2; kept at r + 1 in
+    # bot_r1, and run on to r in bot
+    bot = np.zeros((3, w.size))
+    bot[0] = a[-1] - w
+    bot[1] = 1.0 if i == n - 1 else 0.0
+    bot_r1 = np.full((3, w.size), np.nan)  # r = n - 1 has no r + 1
+    for j in range(n - 1, 0, -1):
+        hi = first[j]
+        if j == i:
+            bot[1, :hi] = 1.0
+        bot_r1[:, first[j - 1]:hi] = bot[:, first[j - 1]:hi]
+        p, yi, t, g = *bot[:, :hi], ratio[:hi]
+        p[p == 0.0] = pivmin
+        np.divide(-b[j - 1], p, out=g)  # x_j / x_{j-1}
+        if j <= i:
+            yi *= g
+        t += 1.0
+        t *= g
+        t *= g
+        np.multiply(g, b[j - 1], out=p)
+        p += a[j - 1]
+        p -= w[:hi]
+
+    def at_twist(twist, above, below):  # |gamma|, v[0] and v[i] of the unit vector
+        (d, x0, xi, s), (p, yi, t) = above, below
+        gamma = np.abs(d + p - (a[np.minimum(twist, n - 1)] - w))
+        norm = np.sqrt(s + 1.0 + t)
+        return gamma, x0 / norm, np.where(i <= twist, xi, yi) / norm
+
+    gamma_r, *v_r = at_twist(r, top_r, bot)
+    gamma_r1, *v_r1 = at_twist(r + 1, top, bot_r1)
+    v0, vi = np.where(gamma_r1 < gamma_r, v_r1, v_r)
+    # sum_k v[0, k]^2 = 1 for an orthonormal basis; eigenvectors twisted
+    # where they vanish (a zero coupling, or a classical region in two
+    # pieces) break it, and the caller falls back to dense eigenvectors
+    if not abs(np.dot(v0, v0) - 1.0) <= _COMPLETENESS_TOL:
+        return w, None
+    return w, v0 * vi
+
+
 def exact_projection_probability(
     h: SectorHamiltonian,
     initial: tuple[int, int],
@@ -174,17 +331,39 @@ def exact_projection_probability(
     """Ground-projection probability |<0; E| exp(-i H tau/g) |n_e; n>|^2
     on a grid of scaled times (physical time is tau/g).
 
-    Computed by eigen-decomposition of the tridiagonal block; the target is
-    the all-atoms-ground state carrying every quantum as a photon.
+    The target is the all-atoms-ground state carrying every quantum as a
+    photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau/g) over
+    the eigenpairs of the block centred on its mean diagonal. Blocks of
+    dimension up to _DENSE_MAX_DIM (512) take the weights from `eigensystem`;
+    larger ones from eigenvalues and twisted factorizations
+    (`_twisted_weights`), without the dim x dim eigenvector matrix, unless
+    those fail their completeness check (only hand-built blocks with a zero
+    coupling or a split classical region have been seen to). Either
+    way the phases are summed in blocks of eigenvalues, so memory stays
+    O(dim + len(tau)) above the cutoff. Both paths are limited by the
+    rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
+    blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
+    for a strongly detuned block at tau/g = 30) and each lies within 4e-13
+    of a 40-digit eigendecomposition where one was made.
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
     tau = np.asarray(tau_grid, dtype=float)
     # factor the centred block: the mean diagonal (about -N/2) is a global
     # phase, and eigenvalues shifted back by it would carry its rounding
-    w, v = eigensystem(replace(h, diagonal=h.diagonal - np.mean(h.diagonal)))
-    weights = v[0, :] * v[i_init, :]
-    amps = weights @ np.exp(-1j * np.outer(w, tau / h.g))
+    centred = replace(h, diagonal=h.diagonal - np.mean(h.diagonal))
+    weights = None
+    if h.basis.dim > _DENSE_MAX_DIM:
+        w, weights = _twisted_weights(centred.diagonal, centred.off_diagonal, i_init)
+    if weights is None:
+        w, v = eigensystem(centred)
+        weights = v[0, :] * v[i_init, :]
+    t = tau / h.g
+    step = max(1, _BLOCK // max(t.size, 1))
+    amps = sum(
+        weights[k:k + step] @ np.exp(-1j * np.outer(w[k:k + step], t))
+        for k in range(0, w.size, step)
+    )
     values = np.abs(amps) ** 2
     return ProbabilityTrace(
         tau_grid=tau,

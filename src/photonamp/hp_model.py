@@ -51,7 +51,9 @@ class TwoModeFockState:
     def __post_init__(self) -> None:
         if self.n_e < 0 or self.n < 0:
             raise ValueError(f"occupation numbers must be non-negative: {self}")
-        _require_whole(n_e=self.n_e, n=self.n)
+        n_e, n = _require_whole(n_e=self.n_e, n=self.n)
+        object.__setattr__(self, "n_e", n_e)
+        object.__setattr__(self, "n", n)
 
     @property
     def total_quanta(self) -> int:
@@ -85,7 +87,8 @@ class HpEvolutionParams:
             )
         if self.N_atoms < 1:
             raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
-        _require_whole(N_atoms=self.N_atoms)
+        (N_atoms,) = _require_whole(N_atoms=self.N_atoms)
+        object.__setattr__(self, "N_atoms", N_atoms)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     """
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
-    _require_whole(n_e=n_e, n=n)
+    n_e, n = _require_whole(n_e=n_e, n=n)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     c_sq = math.cos(tau) ** 2
@@ -177,7 +180,7 @@ def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> n
     """Vectorized ground_projection_probability over a grid of scaled times."""
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
-    _require_whole(n_e=n_e, n=n)
+    n_e, n = _require_whole(n_e=n_e, n=n)
     tau = np.asarray(tau_grid, dtype=float)
     if not np.isfinite(tau).all():
         raise ValueError("tau must be finite at every grid point")

@@ -2,7 +2,8 @@
 
 Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
-  * _require_whole: the whole-number check on the other layers' counts.
+  * _require_whole: the whole-number check on the other layers' counts,
+    which hands them back as ints.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
     d^j_{m',m}(beta) about the y axis, read off whole columns
@@ -69,11 +70,13 @@ class HalfInteger:
         return f"{self.twice_value}/2"
 
 
-def _require_whole(**counts) -> None:
-    """Raise a ValueError naming the first count that is not a whole number."""
+def _require_whole(**counts) -> tuple[int, ...]:
+    """The counts as ints, in order; raises a ValueError naming the first
+    count that is not a whole number (whole-valued floats pass)."""
     for name, value in counts.items():
         if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
             raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return tuple(map(int, counts.values()))
 
 
 def log_factorial(k: int) -> float:

@@ -279,6 +279,23 @@ def test_whole_valued_counts_still_accepted():
     assert discriminate_photon_number(np.int64(10), 0.9553, np.int64(10)).inferred_n == 5
 
 
+class TestWholeValuedFloatCounts:
+    """A whole-valued float count is used as the int it equals."""
+
+    def test_mixture_weights(self):
+        np.testing.assert_array_equal(AtomicMixture(3.0).weights(), AtomicMixture(3).weights())
+
+    def test_discrimination_n_max(self):
+        got, want = discriminate_photon_number(3, 0.5, 2.0), discriminate_photon_number(3, 0.5, 2)
+        assert got.inferred_n == want.inferred_n
+        np.testing.assert_array_equal(got.candidate_peak_times, want.candidate_peak_times)
+
+    def test_coherent_curve(self):
+        got = coherent_projection_probability(3.0, CoherentInput(0.1), TAU).values
+        want = coherent_projection_probability(3, CoherentInput(0.1), TAU).values
+        np.testing.assert_array_equal(got, want)
+
+
 class TestDiscrimination:
     def test_exact_match_dark(self):
         assert discriminate_photon_number(10, math.pi / 2, 10).inferred_n == 0

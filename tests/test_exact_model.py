@@ -2,15 +2,20 @@
 cross-checks, conservation and symmetry properties, and convergence of the
 exact probabilities toward the closed binomial form."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
+from photonamp import exact_model
 from photonamp.exact_model import (
     SectorBasis,
+    SectorHamiltonian,
     build_sector,
     eigensystem,
     exact_projection_probability,
@@ -75,6 +80,12 @@ class TestBasisAndBuild:
     def test_fractional_count_rejected(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
             make()
+
+    def test_whole_valued_float_counts(self):
+        h, want = build_sector(10.0, 3.0), build_sector(10, 3)
+        assert h.basis.states == want.basis.states
+        np.testing.assert_array_equal(h.diagonal, want.diagonal)
+        np.testing.assert_array_equal(h.off_diagonal, want.off_diagonal)
 
     def test_arrays_frozen(self):
         h = build_sector(5, 3)
@@ -166,6 +177,127 @@ class TestExactEvolution:
         init = min(i, h.basis.dim - 1)
         amps = v @ (np.exp(-1j * w * tau) * v[init, :])
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-9)
+
+
+def _zero_diagonal_block() -> SectorHamiltonian:
+    # odd dimension: the lambda = 0 eigenvector vanishes at every odd index,
+    # so one of the two candidate twists sits on a zero of it
+    h = build_sector(10**6, 600)
+    return SectorHamiltonian(h.basis, np.zeros(h.basis.dim), h.off_diagonal, 1.0, 1.0, 1.0)
+
+
+# blocks of dimension 451 to 651, around the dense/twisted cutoff of 512
+AROUND_CUTOFF = {
+    "detuned": lambda: build_sector(4000, 600, omega=1.3, omega0=0.7, g=0.5),
+    "strongly-detuned": lambda: build_sector(10**6, 450, omega=5.0, omega0=0.2, g=0.1),
+    "E>N": lambda: build_sector(650, 900, omega=1.3, omega0=0.7, g=0.5),
+    "zero-diagonal": _zero_diagonal_block,
+}
+TAU_16 = np.linspace(0.0, 3.0, 16)
+
+
+def _indices(h):
+    return [0, 1, h.basis.dim // 2, h.basis.dim - 1]
+
+
+def both_paths(monkeypatch, h, i, tau, falls_back=False):
+    """Probabilities from the dense eigenvectors and from the twisted
+    factorizations, each forced through the cutoff; `falls_back` says
+    whether the twisted call must end on the dense path."""
+    calls = []
+    dense = exact_model.eigensystem
+    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
+    out = []
+    for cutoff in (h.basis.dim, 0):
+        monkeypatch.setattr(exact_model, "_DENSE_MAX_DIM", cutoff)
+        out.append(exact_projection_probability(h, h.basis.states[i], tau).values)
+    assert len(calls) == (2 if falls_back else 1)
+    return out
+
+
+class TestTwistedWeights:
+    @pytest.mark.parametrize("block", AROUND_CUTOFF)
+    def test_paths_agree(self, monkeypatch, block):
+        h = AROUND_CUTOFF[block]()
+        for i in _indices(h):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    @pytest.mark.parametrize("block", ["detuned", "E>N", "zero-diagonal"])
+    def test_paths_match_expm_multiply(self, monkeypatch, block):
+        h = AROUND_CUTOFF[block]()
+        a = h.diagonal - np.mean(h.diagonal)
+        generator = diags([h.off_diagonal, a, h.off_diagonal], [-1, 0, 1], format="csr") / h.g
+        starts = np.eye(h.basis.dim, dtype=complex)[:, _indices(h)]
+        psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
+                            num=TAU_16.size, endpoint=True)
+        for col, i in enumerate(_indices(h)):
+            want = np.abs(psi[:, 0, col]) ** 2
+            for got in both_paths(monkeypatch, h, i, TAU_16):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_strongly_detuned_edge_matches_corner_expm(self, monkeypatch):
+        # expm_multiply misses by up to 7e-11 here (norm x time near 3e4);
+        # checked against a 40-digit eigendecomposition of the 60-site
+        # corner, dense expm of that corner is within 4e-14. A coupling of
+        # 0.1 sqrt(450 k) against a detuning of 4.8 per site keeps the states
+        # near index 0 inside the corner.
+        h = AROUND_CUTOFF["strongly-detuned"]()
+        m = 60
+        corner = np.diag(h.diagonal[:m] - h.diagonal[0])
+        corner += np.diag(h.off_diagonal[:m - 1], 1) + np.diag(h.off_diagonal[:m - 1], -1)
+        for i in (0, 1):
+            want = [abs(expm(-1j * corner * t / h.g)[0, i]) ** 2 for t in TAU_16]
+            for got in both_paths(monkeypatch, h, i, TAU_16):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_exact_eigenvalue_makes_zero_pivots(self, monkeypatch):
+        # LAPACK returns the lambda = 0 eigenvalue of the zero-diagonal block
+        # as a few 1e-14; handed over exactly, it makes the first pivot of
+        # both passes exactly zero
+        import scipy.linalg
+
+        eigvalsh = scipy.linalg.eigvalsh_tridiagonal
+
+        def exact_zero(*args, **kwargs):
+            w = eigvalsh(*args, **kwargs)
+            assert np.sum(np.abs(w) < 1e-9) == 1
+            return np.where(np.abs(w) < 1e-9, 0.0, w)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", exact_zero)
+        h = _zero_diagonal_block()
+        for i in _indices(h):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    @pytest.mark.parametrize("split", ["zero-coupling", "two-wells"])
+    def test_split_block_falls_back_to_dense(self, monkeypatch, split):
+        # twisting where an eigenvector vanishes gives garbage, which the
+        # first-row completeness check sends to the dense eigenvectors
+        h = AROUND_CUTOFF["detuned"]()
+        if split == "zero-coupling":
+            off = h.off_diagonal.copy()
+            off[300] = 0.0
+            h = SectorHamiltonian(h.basis, h.diagonal, off, h.omega, h.omega0, h.g)
+        else:  # a concave diagonal: low-lying states sit in both end wells
+            diag = -0.002 * (np.arange(h.basis.dim) - 300.0) ** 2
+            h = SectorHamiltonian(h.basis, diag, np.ones(h.basis.dim - 1), 1.0, 1.0, 1.0)
+        for i in (0, 1, 300):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16, falls_back=True)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_large_sector_keeps_no_quadratic_memory(self):
+        # dense eigenvectors of this block alone would take 122 MB
+        h = build_sector(10**6, 4000)
+        tau = np.linspace(0.0, math.pi, 256)
+        tracemalloc.start()
+        try:
+            trace = exact_projection_probability(h, (3, 3997), tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.all((trace.values >= 0.0) & (trace.values <= 1.0 + 1e-12))
 
 
 class TestHpDeviation:
