@@ -310,7 +310,9 @@ def _twisted_weights(
         (d, x0, xi, s), (p, yi, t) = above, below
         gamma = np.abs(d + p - (a[np.minimum(twist, n - 1)] - w))
         norm = np.sqrt(s + 1.0 + t)
-        return gamma, x0 / norm, np.where(i <= twist, xi, yi) / norm
+        # the top-down pass starts x_i/x_j at j = i only for twists r >= i,
+        # so for i = r + 1 the ratio at twist r + 1 is the bottom-up one
+        return gamma, x0 / norm, np.where(i <= r, xi, yi) / norm
 
     gamma_r, *v_r = at_twist(r, top_r, bot)
     gamma_r1, *v_r1 = at_twist(r + 1, top, bot_r1)

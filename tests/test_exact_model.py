@@ -197,7 +197,9 @@ TAU_16 = np.linspace(0.0, 3.0, 16)
 
 
 def _indices(h):
-    return [0, 1, h.basis.dim // 2, h.basis.dim - 1]
+    # dim // 2 + 1 is one past the deepest site of every eigenvalue of the
+    # zero-diagonal block, where its odd eigenvectors take their twist
+    return [0, 1, 3, h.basis.dim // 2, h.basis.dim // 2 + 1, h.basis.dim - 1]
 
 
 def both_paths(monkeypatch, h, i, tau, falls_back=False):
@@ -220,6 +222,16 @@ class TestTwistedWeights:
     def test_paths_agree(self, monkeypatch, block):
         h = AROUND_CUTOFF[block]()
         for i in _indices(h):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_twist_one_past_the_initial_index(self, monkeypatch):
+        # at resonance the centred diagonal is zero, so every eigenvalue's
+        # deepest site is 500, and the odd eigenvectors, zero there, twist
+        # at 501: the initial index i = 501 must then be read from the
+        # bottom-up pass
+        h = build_sector(10**6, 1000)
+        for i in (499, 500, 501, 502):
             dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
             np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
