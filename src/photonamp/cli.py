@@ -49,10 +49,18 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems as exit code 1."""
+    """argparse parser that reports usage problems as exit code 1 and takes
+    every token that reads as a float (-1e-3, -inf) as a value."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 @dataclass

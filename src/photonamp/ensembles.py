@@ -40,10 +40,19 @@ def _poisson_tail(nmax: int, intensity: float) -> float:
 
 
 def _auto_truncation(intensity: float) -> int:
-    nmax = max(0, int(intensity))
-    while _poisson_tail(nmax, intensity) >= POISSON_TAIL_BOUND:
-        nmax += 1
-    return nmax
+    """Smallest nmax >= int(intensity) whose tail is below POISSON_TAIL_BOUND:
+    the tail falls with nmax, so bracket it by doubling steps, then bisect."""
+    start = max(0, int(intensity))
+    lo, hi, step = start - 1, start, 1  # tail(lo) too large, tail(hi) small enough
+    while _poisson_tail(hi, intensity) >= POISSON_TAIL_BOUND:
+        lo, hi, step = hi, start + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _poisson_tail(mid, intensity) < POISSON_TAIL_BOUND:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,6 @@ def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     from scipy.linalg import eigh_tridiagonal
 
     shift = float(np.mean(h.diagonal))
-    if h.basis.dim == 1:
-        return np.array([h.diagonal[0]]), np.ones((1, 1))
     w, v = eigh_tridiagonal(h.diagonal - shift, h.off_diagonal)
     return w + shift, v
 
@@ -212,6 +210,44 @@ def _deepest_sites(w: np.ndarray, a: np.ndarray, reach: np.ndarray) -> np.ndarra
     return sites[np.argmin(score, axis=0), np.arange(w.size)]
 
 
+def _pivot_pass(a: np.ndarray, b: np.ndarray, w: np.ndarray, stop: np.ndarray, i: int):
+    """Top-down LDL^T pivots of the tridiagonal T - w_k (diagonal a,
+    off-diagonal b) for every w_k at once, each from index 0 to stop_k + 1,
+    with stop sorted ascending in -1..n-1. Returns, shape (2, 4, w.size),
+    (d_j, sum_{k<j} (x_k/x_j)^2, x_0/x_j, x_i/x_j) at j = stop_k (NaN for
+    stop_k = -1) and at j = stop_k + 1 (j = n - 1 for stop_k = n - 1);
+    x_i/x_j is 0 before j = i. A zero pivot is replaced by one rounding
+    unit of the matrix norm, a backward-stable change of one element.
+    """
+    n = a.size
+    pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
+    first = np.searchsorted(stop, np.arange(n + 1))  # first w_k with stop_k >= j
+    cur = np.zeros((4, w.size))
+    cur[0] = a[0] - w
+    cur[2] = 1.0
+    at_stop = np.full((4, w.size), np.nan)
+    ratio = np.empty(w.size)
+    for j in range(n):
+        lo = first[j]
+        if j == i:  # every state still running, stop_k >= i - 1
+            cur[3, np.searchsorted(stop, i - 1):] = 1.0
+        at_stop[:, lo:first[j + 1]] = cur[:, lo:first[j + 1]]
+        if j == n - 1:
+            break
+        # step the states with stop_k >= j to j + 1; the others stay frozen
+        d, s, f = cur[0, lo:], cur[1, lo:], ratio[lo:]
+        d[d == 0.0] = pivmin
+        np.divide(-b[j], d, out=f)  # x_j / x_{j+1}
+        cur[2:4 if j >= i else 3, lo:] *= f  # x_0/x_j, and x_i/x_j from j = i
+        s += 1.0
+        s *= f
+        s *= f
+        np.multiply(f, b[j], out=d)
+        d += a[j + 1]
+        d -= w[lo:]
+    return np.array([at_stop, cur])
+
+
 def _twisted_weights(
     a: np.ndarray, b: np.ndarray, i: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -224,99 +260,38 @@ def _twisted_weights(
     (Dhillon & Parlett, SIMAX 25 (2004) 858): with x_r = 1 at the twist r,
     the top-down LDL^T pivots d_j give x_j = -b_j x_{j+1} / d_j above r and
     the bottom-up pivots p_j give x_j = -b_{j-1} x_{j-1} / p_j below it.
-    A top-down and a bottom-up pass carry, for every eigenvalue at once,
-    the pivot, x_0/x_j, x_i/x_j and the partial sum of (x_k/x_j)^2, so the
-    weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the squared
-    first component of Golub & Welsch (1969). The twist is the deepest
-    point of the eigenvalue's classical region,
+    The bottom-up pass is the top-down `_pivot_pass` of the reversed block.
+    Each pass carries x_0/x_j, x_i/x_j and the partial sum of (x_k/x_j)^2,
+    so the weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the
+    squared first component of Golub & Welsch (1969). The twist is the
+    deepest point of the eigenvalue's classical region,
     argmin_j |w - a_j| - (b_{j-1} + b_j), or the next index where that has
     the smaller twist element gamma = d_r + p_r - (a_r - w), that is the
     larger |x_r|. The eigenvalues come back sorted by their twist, so each
-    step of a pass works on one contiguous slice. A zero pivot is replaced
-    by one rounding unit of the matrix norm, a backward-stable change of
-    one diagonal element.
+    step of a pass works on one contiguous slice.
     """
     from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
 
     n = a.size
     w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
-    reach = np.zeros(n)
-    reach[:-1] += np.abs(b)
-    reach[1:] += np.abs(b)
+    reach = np.abs(np.append(b, 0.0)) + np.abs(np.append(0.0, b))  # b_j + b_{j-1}
     r = _deepest_sites(w, a, reach)
     order = np.argsort(r, kind="stable")
     w, r = w[order], r[order]
-    first = np.searchsorted(r, np.arange(n + 1))  # first eigenvalue with twist >= j
-    # an exact zero pivot moves by one rounding unit of the matrix
-    pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
-    ratio = np.empty(n)
-
-    # top-down: d_j, x_0/x_j, x_i/x_j, sum_{k<j} (x_k/x_j)^2; kept at r in
-    # top_r, and run on to r + 1 in top
-    top = np.zeros((4, n))
-    top[0] = a[0] - w
-    top[1] = 1.0
-    top_r = np.empty((4, n))
-    for j in range(n):
-        lo = first[j]
-        if j == i:
-            top[2, lo:] = 1.0
-        top_r[:, lo:first[j + 1]] = top[:, lo:first[j + 1]]
-        if j == n - 1:
-            break
-        d, x0, xi, s, f = *top[:, lo:], ratio[lo:]
-        d[d == 0.0] = pivmin
-        np.divide(-b[j], d, out=f)  # x_j / x_{j+1}
-        x0 *= f
-        if j >= i:
-            xi *= f
-        s += 1.0
-        s *= f
-        s *= f
-        np.multiply(f, b[j], out=d)
-        d += a[j + 1]
-        d -= w[lo:]
-
-    # |weight| <= |x_0/x_r|: drop the eigenvalues whose weight is below
-    # _NEGLIGIBLE at either twist before the bottom-up pass
-    keep = np.maximum(np.abs(top_r[1]), np.abs(top[1])) >= _NEGLIGIBLE
-    w, r, top, top_r = w[keep], r[keep], top[:, keep], top_r[:, keep]
-    first = np.searchsorted(r, np.arange(n + 1))
-
-    # bottom-up: p_j, x_i/x_j, sum_{k>j} (x_k/x_j)^2; kept at r + 1 in
-    # bot_r1, and run on to r in bot
-    bot = np.zeros((3, w.size))
-    bot[0] = a[-1] - w
-    bot[1] = 1.0 if i == n - 1 else 0.0
-    bot_r1 = np.full((3, w.size), np.nan)  # r = n - 1 has no r + 1
-    for j in range(n - 1, 0, -1):
-        hi = first[j]
-        if j == i:
-            bot[1, :hi] = 1.0
-        bot_r1[:, first[j - 1]:hi] = bot[:, first[j - 1]:hi]
-        p, yi, t, g = *bot[:, :hi], ratio[:hi]
-        p[p == 0.0] = pivmin
-        np.divide(-b[j - 1], p, out=g)  # x_j / x_{j-1}
-        if j <= i:
-            yi *= g
-        t += 1.0
-        t *= g
-        t *= g
-        np.multiply(g, b[j - 1], out=p)
-        p += a[j - 1]
-        p -= w[:hi]
-
-    def at_twist(twist, above, below):  # |gamma|, v[0] and v[i] of the unit vector
-        (d, x0, xi, s), (p, yi, t) = above, below
-        gamma = np.abs(d + p - (a[np.minimum(twist, n - 1)] - w))
-        norm = np.sqrt(s + 1.0 + t)
-        # the top-down pass starts x_i/x_j at j = i only for twists r >= i,
-        # so for i = r + 1 the ratio at twist r + 1 is the bottom-up one
-        return gamma, x0 / norm, np.where(i <= r, xi, yi) / norm
-
-    gamma_r, *v_r = at_twist(r, top_r, bot)
-    gamma_r1, *v_r1 = at_twist(r + 1, top, bot_r1)
-    v0, vi = np.where(gamma_r1 < gamma_r, v_r1, v_r)
+    top = _pivot_pass(a, b, w, r, i)  # at r and at r + 1
+    # |weight| <= |x_0/x_r|: drop those below _NEGLIGIBLE at either twist
+    keep = np.abs(top[:, 2]).max(axis=0) >= _NEGLIGIBLE
+    w, r, top = w[keep], r[keep], top[..., keep]
+    # the reversed block's index n - 2 - r is r + 1, and n - 1 - r is r
+    bot = _pivot_pass(a[::-1], b[::-1], w[::-1], n - 2 - r[::-1], n - 1 - i)[::-1, :, ::-1]
+    twist = r + np.arange(2)[:, None]
+    (d, s, x0, xi), (p, t, _, yi) = top.swapaxes(0, 1), bot.swapaxes(0, 1)
+    gamma = np.abs(d + p - (a[np.minimum(twist, n - 1)] - w))
+    norm = np.sqrt(s + 1.0 + t)
+    # x_i/x_j starts at j = i, so x_i/x_twist comes from the top-down pass
+    # for i <= twist and from the bottom-up pass for i >= twist
+    v = np.array([x0, np.where(i <= twist, xi, yi)]) / norm
+    v0, vi = np.where(gamma[1] < gamma[0], v[:, 1], v[:, 0])
     # sum_k v[0, k]^2 = 1 for an orthonormal basis; eigenvectors twisted
     # where they vanish (a zero coupling, or a classical region in two
     # pieces) break it, and the caller falls back to dense eigenvectors

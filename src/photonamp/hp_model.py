@@ -77,8 +77,10 @@ class HpEvolutionParams:
     validity_ratio: float = 0.01
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau!r}")
+        for name in ("tau", "omega_over_g", "omega0_over_g", "validity_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega_over_g != self.omega0_over_g:
             raise ValueError(
                 "beam-splitter reduction assumes resonance: "
@@ -110,7 +112,7 @@ class AmplitudeVector:
                 f"expected {self.total_quanta + 1} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitude vector not normalized: |a|^2 = {norm_sq!r}")
 
     def probability(self, n_e_prime: int) -> float:

@@ -294,6 +294,14 @@ class TestExitCodes:
         assert err.startswith("photonamp: error: ")
         assert message in err
 
+    def test_negative_exponent_form_is_a_value(self, capsys):
+        assert run(["fig1", "--tau-min", "-1e-3", "--grid-points", "4"]) == 0
+        spaced = capsys.readouterr().out
+        assert run(["fig1", "--tau-min=-1e-3", "--grid-points", "4"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert run(["fig2", "--intensity", "-1e-3", "--grid-points", "4"]) == 1
+        assert "intensity must be a finite non-negative real" in capsys.readouterr().err
+
 
 def python_m_photonamp(*args):
     src = str(pathlib.Path(photonamp.__file__).resolve().parents[1])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonamp import ensembles
 from photonamp.ensembles import (
     AtomicMixture,
     CoherentInput,
@@ -66,6 +67,22 @@ class TestCoherentInput:
             source = CoherentInput(lam)
             weights = source.photon_weights()
             assert 1.0 - weights.sum() < 1e-12
+
+    @pytest.mark.parametrize(
+        "lam,nmax", [(0.0, 0), (0.1, 7), (0.9, 14), (3.7, 24), (800.0, 1007), (1e6, 1007043)]
+    )
+    def test_auto_truncation_is_minimal(self, lam, nmax):
+        # the values a step-by-step search up from int(lam) returns
+        assert CoherentInput(lam).truncation_nmax == nmax
+
+    def test_auto_truncation_at_huge_intensity_takes_few_tail_calls(self, monkeypatch):
+        # a step-by-step search makes about 7 sqrt(lam) calls, 6.7e5 here
+        calls = []
+        tail = ensembles._poisson_tail
+        monkeypatch.setattr(ensembles, "_poisson_tail", lambda *a: calls.append(a) or tail(*a))
+        nmax = CoherentInput(1e10).truncation_nmax
+        assert len(calls) <= 200
+        assert tail(nmax, 1e10) < ensembles.POISSON_TAIL_BOUND <= tail(nmax - 1, 1e10)
 
     def test_explicit_truncation_validated(self):
         CoherentInput(0.1, truncation_nmax=12)  # roomy, fine

@@ -69,6 +69,27 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="normalized"):
             AmplitudeVector(total_quanta=1, amplitudes=np.array([0.5, 0.5]))
 
+    def test_amplitude_vector_rejects_nan(self):
+        with pytest.raises(ValueError, match="normalized"):
+            AmplitudeVector(total_quanta=1, amplitudes=np.array([math.nan, 0.0]))
+
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            # equal infinities pass the resonance check and gave NaN amplitudes
+            (lambda: evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(
+                0.1, omega_over_g=math.inf, omega0_over_g=math.inf)), "omega_over_g"),
+            (lambda: HpEvolutionParams(0.1, omega_over_g=1.0, omega0_over_g=math.nan),
+             "omega0_over_g"),
+            # NaN turned the validity warning off
+            (lambda: HpEvolutionParams(0.1, validity_ratio=math.nan), "validity_ratio"),
+        ],
+        ids=["omega_over_g", "omega0_over_g", "validity_ratio"],
+    )
+    def test_non_finite_params_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
 
 class TestEvolveFock:
     def test_identity_at_tau_zero(self):
