@@ -19,6 +19,7 @@ flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,7 +132,9 @@ _COMMAND_OPTS: dict[str, list[_Opt]] = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The process's one parser: parsing leaves no state in it."""
     parser = _Parser(prog="photonamp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, opts in _COMMAND_OPTS.items():
@@ -186,6 +189,13 @@ def _config_flags(command: str, path: str) -> list[str]:
 def _tau_grid(cfg: dict) -> np.ndarray:
     if cfg["grid_points"] < 2:
         raise UsageError(f"grid_points must be >= 2, got {cfg['grid_points']}")
+    for name in ("tau_min", "tau_max"):
+        if not math.isfinite(cfg[name]):
+            raise UsageError(f"{name} must be finite, got {cfg[name]}")
+    if not math.isfinite(cfg["tau_max"] - cfg["tau_min"]):
+        raise UsageError(
+            f"tau_max - tau_min overflows, got [{cfg['tau_min']}, {cfg['tau_max']}]"
+        )
     if not cfg["tau_min"] < cfg["tau_max"]:
         raise UsageError(
             f"tau_min must be below tau_max, got [{cfg['tau_min']}, {cfg['tau_max']}]"
@@ -193,18 +203,15 @@ def _tau_grid(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["grid_points"])
 
 
-def _num(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _label_num(x: float) -> str:
     return f"{x:g}"
 
 
 def _render_table(header: list[str], columns: list[np.ndarray]) -> str:
+    # one %-template per row; '%.12g' % v equals f"{v:.12g}" for every float and int
+    template = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_num(v) for v in row))
+    lines += map(template.__mod__, zip(*(column.tolist() for column in columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -212,6 +219,21 @@ def _json_default(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2, default=_json_default), with a
+    1-D finite float64 array written in one join: for a finite float,
+    float.__repr__ is what json writes. A dict with a key that is not a str
+    goes to json whole, which quotes such keys."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size
+            and obj.dtype == np.float64 and np.isfinite(obj).all()):
+        return "[" + inner + ("," + inner).join(map(float.__repr__, obj.tolist())) + indent + "]"
+    return json.dumps(obj, indent=2, default=_json_default).replace("\n", indent)
 
 
 def _emit(cfg: dict, payload: dict) -> None:
@@ -230,7 +252,7 @@ def _emit(cfg: dict, payload: dict) -> None:
             body["columns"] = payload["header"]
             body["rows"] = payload["rows"]
         body["summary"] = payload.get("summary", {})
-        text = json.dumps(body, indent=2, default=_json_default) + "\n"
+        text = _json_text(body) + "\n"
     else:
         if "tau" in payload:
             header = ["tau"] + list(payload["series"].keys())

@@ -7,11 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import photonamp
+from photonamp import cli
 from photonamp.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -301,6 +303,123 @@ class TestExitCodes:
         assert capsys.readouterr().out == spaced
         assert run(["fig2", "--intensity", "-1e-3", "--grid-points", "4"]) == 1
         assert "intensity must be a finite non-negative real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["fig1", "--tau-min", "-inf", "--grid-points", "4"], "tau_min"),
+            (["fig1", "--tau-max", "inf"], "tau_max"),
+            (["fig1", "--tau-min=-1e308", "--tau-max", "1e308"], "tau_max - tau_min"),
+            (["wigner", "--tau-max", "inf", "--grid-points", "4"], "tau_max"),
+        ],
+        ids=["fig1-tau-min", "fig1-tau-max", "fig1-overflow", "wigner-tau-max"],
+    )
+    def test_non_finite_tau_bound_is_one_line_usage_error(self, argv, bound, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("photonamp: error: ")
+        assert bound in err[0]
+
+
+def reference_json(cfg, payload):
+    body = {"config": cfg}
+    if "tau" in payload:
+        body["tau"], body["series"] = payload["tau"], payload["series"]
+    else:
+        body["columns"], body["rows"] = payload["header"], payload["rows"]
+    body["summary"] = payload.get("summary", {})
+    return json.dumps(body, indent=2, default=cli._json_default) + "\n"
+
+
+def reference_csv(payload):
+    if "tau" in payload:
+        header = ["tau", *payload["series"]]
+        rows = zip(payload["tau"], *payload["series"].values())
+    else:
+        header, rows = payload["header"], payload["rows"]
+    lines = [",".join(header)] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emitted(cfg, payload, capsys):
+    capsys.readouterr()
+    cli._emit(cfg, payload)
+    return capsys.readouterr().out
+
+
+def text_lines(text):
+    # compared as lists, so that a failure reports the first differing line
+    # instead of a diff of two whole files
+    return text.split("\n")
+
+
+class TestBulkWriters:
+    """_emit writes the bytes of json.dumps(indent=2) and of a per-cell
+    f"{v:.12g}" loop, without going through either."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["fig1"], ["fig2"], ["fig3"], ["wigner"], ["exact-compare"],
+        ["discriminate", "--observed", "0.9553"], ["sweep"], ["fig1", "--grid-points", "2"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_subcommand_payloads_match_the_stdlib(self, argv, fmt, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_emit", lambda cfg, payload: calls.append((cfg, payload)))
+        assert run([*argv, "--format", fmt]) == 0
+        monkeypatch.undo()
+        [(cfg, payload)] = calls
+        reference = reference_json(cfg, payload) if fmt == "json" else reference_csv(payload)
+        assert text_lines(emitted(cfg, payload, capsys)) == text_lines(reference)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values_in_a_series(self, fmt, capsys):
+        cfg = {"command": "fig1", "format": fmt, "output_path": None}
+        payload = {
+            "tau": np.linspace(0.0, 1.0, 5),
+            "series": {"p_edge": np.array([-0.0, 5e-324, 1e16, 1e-5, 999999999999.5])},
+            "summary": {"peak_value": np.float64(0.25), "inferred_n": np.int64(3)},
+        }
+        reference = reference_json(cfg, payload) if fmt == "json" else reference_csv(payload)
+        assert text_lines(emitted(cfg, payload, capsys)) == text_lines(reference)
+
+    def test_nan_threshold_and_empty_summary_in_rows(self, capsys):
+        payload = {
+            "header": ["n_e", "n", "tau_peak", "tau_threshold", "p_peak"],
+            "rows": [[0, 3, 0.0, 0.0, 1.0], [1, 0, math.pi / 2, math.nan, 1.0]],
+            "summary": {},
+        }
+        cfg = {"command": "sweep", "format": "json", "output_path": None}
+        text = emitted(cfg, payload, capsys)
+        assert text_lines(text) == text_lines(reference_json(cfg, payload))
+        assert "      NaN,\n" in text and '"summary": {}' in text
+        cfg["format"] = "csv"
+        text = emitted(cfg, payload, capsys)
+        assert text_lines(text) == text_lines(reference_csv(payload))
+        assert text.splitlines()[2] == "1,0,1.57079632679,nan,1"
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        defaults = {c: [(o.name, list(o.default) if o.is_list else o.default) for o in opts]
+                    for c, opts in cli._COMMAND_OPTS.items()}
+        conf = tmp_path / "run.cfg"
+        conf.write_text("n_e=2,7\nn=3\ntau_max=1.5\nformat=json\n")
+        sequence = [
+            (["fig1", "--format", "xml"], 1),
+            (["fig1", "--config", str(conf), "--grid-points", "4"], 0),
+            (["fig1", "--grid-points", "4"], 0),
+        ]
+        for argv, code in sequence:
+            assert run(argv) == code
+            out, err = capsys.readouterr()
+            alone = python_m_photonamp(*argv)
+            assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
+        assert cli._build_parser() is cli._build_parser()
+        assert {c: [(o.name, o.default) for o in opts]
+                for c, opts in cli._COMMAND_OPTS.items()} == defaults
 
 
 def python_m_photonamp(*args):
