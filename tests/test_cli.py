@@ -379,7 +379,8 @@ class TestBulkWriters:
         cfg = {"command": "fig1", "format": fmt, "output_path": None}
         payload = {
             "tau": np.linspace(0.0, 1.0, 5),
-            "series": {"p_edge": np.array([-0.0, 5e-324, 1e16, 1e-5, 999999999999.5])},
+            "series": {"p_edge": np.array([-0.0, 5e-324, 1e16, 1e-5, 999999999999.5]),
+                       "p_non_finite": np.array([0.5, np.nan, np.inf, -np.inf, -0.0])},
             "summary": {"peak_value": np.float64(0.25), "inferred_n": np.int64(3)},
         }
         reference = reference_json(cfg, payload) if fmt == "json" else reference_csv(payload)
