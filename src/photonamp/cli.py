@@ -318,6 +318,9 @@ def _run_wigner(cfg: dict) -> dict:
     if n_e < 0 or n < 0:
         raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     tau = _tau_grid(cfg)
+    for name in ("tau_min", "tau_max"):
+        if not math.isfinite(2.0 * cfg[name]):
+            raise UsageError(f"{name} must keep the rotation angle 2*tau finite, got {cfg[name]}")
     columns = np.array([_d_column(n_e + n, n_e - n, 2.0 * t) for t in tau])
     return {"tau": tau, "series": {f"d_ne{k}": d for k, d in enumerate(columns.T)}}
 

@@ -8,6 +8,7 @@ nearest-peak photon-number discrimination.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,7 +124,7 @@ class DiscriminationReport:
     distances: np.ndarray
 
 
-def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray):
+def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray:
     """Poisson average over n of P(m, n, tau) for every m = 0..n_e, in one pass.
 
     With s2 = sin^2 and x = intensity * cos^2, the average is
@@ -134,35 +135,63 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray):
     three-term recurrence. exp(-intensity s2) is carried as a logarithm, so
     the curve survives where it underflows. Returns q_{n_e}, t_{n_e},
     sum_m q_m and sum_m t_m, with t_m = m q_m + x sigma_m the moment of the
-    n + m emitted photons.
+    n + m emitted photons, as one read-only 4 x len(tau) array.
+
+    The pass steps in place in preallocated rows, so no step allocates. It
+    measures max(sigma) against the 1e100 rescaling threshold only when a
+    running bound says it could be crossed: q <= sigma and a step grows
+    sigma by at most 2 + intensity, so rescaling fires at the same steps as
+    a measurement on every step would. The last result is kept in a
+    one-entry cache keyed by (n_e, intensity, tau's bytes), so the pure and
+    the mixed curve of one (n_e, intensity, grid) share a single pass; the
+    cache keeps that 4 x len(tau) array alive until the next miss.
     """
     if n_e < 0:
         raise ValueError(f"n_e must be non-negative, got {n_e}")
     (n_e,) = _require_whole(n_e=n_e)
+    return _poisson_pass(n_e, intensity, tau.shape, tau.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _poisson_pass(n_e: int, intensity: float, shape: tuple, tau_bytes: bytes) -> np.ndarray:
+    tau = np.frombuffer(tau_bytes).reshape(shape)
     s2 = np.sin(tau) ** 2
     x = intensity * np.cos(tau) ** 2
     log_scale = -intensity * s2
-    q, sigma = np.ones(tau.shape), np.ones(tau.shape)
-    q_sum, t_sum = np.zeros(tau.shape), np.zeros(tau.shape)
+    out = np.zeros((4, *shape))
+    q, t, q_sum, t_sum = out  # rows of out, stepped in place
+    q.fill(1.0)
+    sigma, x_sigma = np.ones(shape), np.empty(shape)
+    growth = (2.0 + intensity) * (1.0 + 1e-12)  # with headroom for rounding
+    bound = 1.0  # >= max(sigma)
     for m in range(n_e + 1):
-        x_sigma = x * sigma
-        t = m * q + x_sigma
+        np.multiply(x, sigma, out=x_sigma)
+        np.multiply(m, q, out=t)
+        t += x_sigma
         q_sum += q
         t_sum += t
         if m == n_e:
             break
-        q = s2 * (q + x_sigma / (m + 1))
-        sigma = s2 * sigma + q
-        # a step grows the pair by at most 2 + intensity: far from overflow
-        if sigma.max(initial=0.0) > 1e100:
-            scale = np.maximum(sigma, 1.0)
-            q, sigma, q_sum, t_sum = q / scale, sigma / scale, q_sum / scale, t_sum / scale
-            log_scale += np.log(scale)
-    out = np.array([q, t, q_sum, t_sum])
+        x_sigma /= m + 1
+        q += x_sigma
+        q *= s2
+        sigma *= s2
+        sigma += q
+        bound *= growth
+        if bound > 1e100:
+            bound = sigma.max(initial=0.0)
+            if bound > 1e100:
+                scale = np.maximum(sigma, 1.0)
+                for row in (q, sigma, q_sum, t_sum):
+                    row /= scale
+                log_scale += np.log(scale)
+                bound = 1.0
     with np.errstate(divide="ignore"):  # exp(log_scale) alone may underflow
-        return np.where(
+        result = np.where(
             log_scale > -700.0, out * np.exp(log_scale), np.exp(np.log(out) + log_scale)
         )
+    result.flags.writeable = False
+    return result
 
 
 def coherent_projection_probability(
@@ -232,7 +261,13 @@ def intensity_gain(
             f"projection probability vanishes at tau={tau}; "
             "conditional gain is undefined"
         )
-    return float(photons / (weight * input.intensity))
+    with np.errstate(over="ignore", divide="ignore"):
+        gain = float(photons / (weight * input.intensity))
+    if not math.isfinite(gain):
+        raise ValueError(
+            f"intensity {input.intensity!r} is too small for a finite gain at tau={tau}"
+        )
+    return gain
 
 
 def perception_time(n_e: int, n: int) -> float:

@@ -81,6 +81,8 @@ class HpEvolutionParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(2.0 * float(self.tau)):
+            raise ValueError(f"tau must keep the rotation angle 2*tau finite, got {self.tau!r}")
         if self.omega_over_g != self.omega0_over_g:
             raise ValueError(
                 "beam-splitter reduction assumes resonance: "
@@ -139,9 +141,14 @@ def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> Amplitude
             stacklevel=2,
         )
     tau = params.tau
-    global_phase = cmath.exp(
-        -1j * tau * (params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0)
+    phase = float(tau) * (
+        params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0
     )
+    if not math.isfinite(phase):
+        raise ValueError(
+            f"tau={tau!r} overflows the global phase tau*(omega*total - omega0*N_atoms/2)"
+        )
+    global_phase = cmath.exp(-1j * phase)
     d = _d_column(total, state.n_e - state.n, 2.0 * tau)
     # exp(i pi (m' - m) / 2) = i^(n_e' - n_e), taken exactly
     quarter_turns = np.array([1, 1j, -1, -1j])[(np.arange(total + 1) - state.n_e) % 4]

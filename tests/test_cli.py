@@ -311,8 +311,12 @@ class TestExitCodes:
             (["fig1", "--tau-max", "inf"], "tau_max"),
             (["fig1", "--tau-min=-1e308", "--tau-max", "1e308"], "tau_max - tau_min"),
             (["wigner", "--tau-max", "inf", "--grid-points", "4"], "tau_max"),
+            # finite bounds whose rotation angle 2*tau overflows
+            (["wigner", "--tau-min", "1e307", "--tau-max", "1.7e308", "--grid-points", "2"],
+             "tau_max"),
         ],
-        ids=["fig1-tau-min", "fig1-tau-max", "fig1-overflow", "wigner-tau-max"],
+        ids=["fig1-tau-min", "fig1-tau-max", "fig1-overflow", "wigner-tau-max",
+             "wigner-rotation-angle"],
     )
     def test_non_finite_tau_bound_is_one_line_usage_error(self, argv, bound, capsys):
         with warnings.catch_warnings(record=True) as caught:

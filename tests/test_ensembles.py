@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonamp import ensembles
+from photonamp import cli, ensembles
 from photonamp.ensembles import (
     AtomicMixture,
     CoherentInput,
@@ -59,6 +59,40 @@ def mp_gain(n_e_values, lam, tau):
                 weight += w
                 photons += w * (n + m)
         return float(photons / (weight * lam))
+
+
+def reference_poisson_averages(n_e, intensity, tau):
+    """The pass with a fresh array per operation and max(sigma) measured on
+    every step. Returns its four rows and the steps m at which it rescales."""
+    s2 = np.sin(tau) ** 2
+    x = intensity * np.cos(tau) ** 2
+    log_scale = -intensity * s2
+    q, sigma = np.ones(tau.shape), np.ones(tau.shape)
+    q_sum, t_sum = np.zeros(tau.shape), np.zeros(tau.shape)
+    rescaled_at = []
+    for m in range(n_e + 1):
+        x_sigma = x * sigma
+        t = m * q + x_sigma
+        q_sum += q
+        t_sum += t
+        if m == n_e:
+            break
+        q = s2 * (q + x_sigma / (m + 1))
+        sigma = s2 * sigma + q
+        if sigma.max(initial=0.0) > 1e100:
+            rescaled_at.append(m)
+            scale = np.maximum(sigma, 1.0)
+            q, sigma, q_sum, t_sum = q / scale, sigma / scale, q_sum / scale, t_sum / scale
+            log_scale += np.log(scale)
+    out = np.array([q, t, q_sum, t_sum])
+    with np.errstate(divide="ignore"):
+        values = np.where(
+            log_scale > -700.0, out * np.exp(log_scale), np.exp(np.log(out) + log_scale)
+        )
+    return values, rescaled_at
+
+
+GRIDS = {"default": TAU, "wide": np.linspace(-3.0, 40.0, 777)}
 
 
 class TestCoherentInput:
@@ -155,6 +189,62 @@ class TestClosedForm:
         np.testing.assert_allclose(mixed, want_mixed, rtol=0, atol=1e-12)
 
 
+class TestPoissonPass:
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.3, 5.0, 700.0, 1e5])
+    @pytest.mark.parametrize("n_e", [0, 1, 25, 1000])
+    def test_bit_for_bit_equal_to_the_reference(self, n_e, lam, grid):
+        ensembles._poisson_pass.cache_clear()
+        got = ensembles._poisson_averages(n_e, lam, grid)
+        want, _ = reference_poisson_averages(n_e, lam, grid)
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("lam,first", [(5.0, None), (700.0, 163), (1e5, 30)])
+    def test_reference_rescales_within_the_compared_inputs(self, lam, first, grid):
+        _, rescaled_at = reference_poisson_averages(1000, lam, grid)
+        assert (rescaled_at[0] if rescaled_at else None) == first
+
+    def test_cached_result_is_read_only(self):
+        values = ensembles._poisson_averages(25, 0.3, TAU)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+
+    def test_fig3_curves_equal_separately_computed_ones(self):
+        cfg = {"n_e_max": 1000, "intensity": [0.1, 5.0], "grid_points": TAU.size,
+               "tau_min": 0.0, "tau_max": math.pi}
+        ensembles._poisson_pass.cache_clear()
+        series = cli._run_fig3(cfg)["series"]
+        info = ensembles._poisson_pass.cache_info()
+        assert (info.hits, info.misses) == (2, 2)  # one pass per intensity
+        for lam in cfg["intensity"]:
+            source = CoherentInput(lam)
+            ensembles._poisson_pass.cache_clear()
+            pure = coherent_projection_probability(1000, source, TAU).values
+            ensembles._poisson_pass.cache_clear()
+            mixed = mixed_projection_probability(AtomicMixture(1000), source, TAU).values
+            assert series[f"p_pure_i{lam:g}"].tobytes() == pure.tobytes()
+            assert series[f"p_mixed_i{lam:g}"].tobytes() == mixed.tobytes()
+
+    @pytest.mark.parametrize(
+        "n_e,lam,tau",
+        [
+            (26, 0.3, TAU),
+            (25, np.nextafter(0.3, 1.0), TAU),
+            (25, 0.3, np.where(TAU == TAU[5], np.nextafter(TAU[5], 0.0), TAU)),
+            (25, 0.3, TAU.reshape(32, 32)),  # the same bytes in another shape
+        ],
+        ids=["n_e", "intensity", "grid-values", "grid-shape"],
+    )
+    def test_a_changed_argument_misses_the_cache(self, n_e, lam, tau):
+        ensembles._poisson_pass.cache_clear()
+        ensembles._poisson_averages(25, 0.3, TAU)
+        got = ensembles._poisson_averages(n_e, lam, tau)
+        assert ensembles._poisson_pass.cache_info().misses == 2
+        assert got.tobytes() == reference_poisson_averages(n_e, lam, tau)[0].tobytes()
+
+
 class TestMixedProbability:
     def test_background_at_start(self):
         trace = mixed_projection_probability(
@@ -219,6 +309,13 @@ class TestIntensityGain:
     def test_non_finite_tau_rejected(self, atoms, tau):
         with pytest.raises(ValueError, match="tau"):
             intensity_gain(atoms, CoherentInput(0.1), tau)
+
+    @pytest.mark.parametrize("atoms", [25, AtomicMixture(25)], ids=["pure", "mixed"])
+    def test_overflowing_gain_names_the_intensity(self, atoms):
+        # the gain near pi/2 is about n_e / intensity: finite at 1e-300, not at 1e-320
+        assert math.isfinite(intensity_gain(atoms, CoherentInput(1e-300), math.pi / 2))
+        with pytest.raises(ValueError, match="^intensity 1e-320 is too small"):
+            intensity_gain(atoms, CoherentInput(1e-320), math.pi / 2)
 
     def test_vanishing_projection_is_an_error(self):
         # sin^50(1e-8) underflows to zero weight

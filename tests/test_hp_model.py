@@ -90,6 +90,16 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make()
 
+    @pytest.mark.parametrize("tau", [1e308, -1.7e308])
+    def test_overflowing_rotation_angle_names_tau(self, tau):
+        with pytest.raises(ValueError, match="^tau must keep the rotation angle 2\\*tau finite"):
+            evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=tau))
+
+    def test_overflowing_global_phase_names_tau(self):
+        # 2 tau is finite, tau * N_atoms / 2 is not
+        with pytest.raises(ValueError, match="^tau=1e\\+307 overflows the global phase"):
+            evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=1e307))
+
 
 class TestEvolveFock:
     def test_identity_at_tau_zero(self):
