@@ -212,8 +212,10 @@ class TestPoissonPass:
             values[0, 0] = 0.0
 
     def test_fig3_curves_equal_separately_computed_ones(self):
-        cfg = {"n_e_max": 1000, "intensity": [0.1, 5.0], "grid_points": TAU.size,
-               "tau_min": 0.0, "tau_max": math.pi}
+        cfg = {
+            "n_e_max": 1000, "intensity": [0.1, 5.0],
+            "grid_points": TAU.size, "tau_min": 0.0, "tau_max": math.pi,
+        }
         ensembles._poisson_pass.cache_clear()
         series = cli._run_fig3(cfg)["series"]
         info = ensembles._poisson_pass.cache_info()
