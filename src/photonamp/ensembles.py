@@ -142,9 +142,10 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray
     running bound says it could be crossed: q <= sigma and a step grows
     sigma by at most 2 + intensity, so rescaling fires at the same steps as
     a measurement on every step would. The last result is kept in a
-    one-entry cache keyed by (n_e, intensity, tau's bytes), so the pure and
-    the mixed curve of one (n_e, intensity, grid) share a single pass; the
-    cache keeps that 4 x len(tau) array alive until the next miss.
+    one-entry cache keyed by n_e, intensity and tau's shape and bytes, so
+    the pure and the mixed curve of one (n_e, intensity, grid) share a
+    single pass; the cache keeps that 4 x len(tau) array alive until the
+    next miss.
     """
     if n_e < 0:
         raise ValueError(f"n_e must be non-negative, got {n_e}")
