@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,8 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray
     if n_e < 0:
         raise ValueError(f"n_e must be non-negative, got {n_e}")
     (n_e,) = _require_whole(n_e=n_e)
+    if not np.isfinite(tau).all():  # checked before the pass and its cache
+        raise ValueError("tau_grid must be finite at every point")
     return _poisson_pass(n_e, intensity, tau.shape, tau.tobytes())
 
 
@@ -248,6 +251,10 @@ def intensity_gain(
     renormalized weights Poisson(n) * P(m, n, tau), summed over every n in
     closed form. Approaches n_e/intensity for the pure state and
     n_e/(2*intensity) for the uniform mixture as tau -> pi/2.
+
+    Raises where the gain overflows, or where x = intensity cos^2 tau is
+    subnormal, keeping few bits, and its term of at most (n_e + 1) cos^2 tau
+    in the gain is not negligible.
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
@@ -268,6 +275,11 @@ def intensity_gain(
         raise ValueError(
             f"intensity {input.intensity!r} is too small for a finite gain at tau={tau}"
         )
+    cos2 = math.cos(tau) ** 2
+    x = input.intensity * cos2
+    if x < sys.float_info.min and gain * sys.float_info.epsilon < (n_e + 1) * cos2:
+        raise ValueError(f"intensity {input.intensity!r} is too small: intensity*cos(tau)^2"
+                         f" = {x!r} is subnormal at tau={tau}")
     return gain
 
 

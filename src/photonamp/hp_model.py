@@ -192,7 +192,7 @@ def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> n
     n_e, n = _require_whole(n_e=n_e, n=n)
     tau = np.asarray(tau_grid, dtype=float)
     if not np.isfinite(tau).all():
-        raise ValueError("tau must be finite at every grid point")
+        raise ValueError("tau_grid must be finite at every point")
     log_p = np.full(tau.shape, log_binomial(n + n_e, n_e))
     with np.errstate(divide="ignore"):
         if n > 0:

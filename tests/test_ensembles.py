@@ -247,6 +247,25 @@ class TestPoissonPass:
         assert got.tobytes() == reference_poisson_averages(n_e, lam, tau)[0].tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda grid: coherent_projection_probability(3, CoherentInput(0.1), grid),
+        lambda grid: coherent_projection_probability(3, CoherentInput(0.0), grid),
+        lambda grid: mixed_projection_probability(AtomicMixture(3), CoherentInput(0.1), grid),
+    ],
+    ids=["coherent", "vacuum", "mixed"],
+)
+def test_non_finite_tau_grid_rejected_before_the_pass(curve, bad):
+    # RuntimeWarnings are errors here, so a pass over the grid would fail
+    # with one before the ValueError
+    ensembles._poisson_pass.cache_clear()
+    with pytest.raises(ValueError, match="^tau_grid must be finite"):
+        curve(np.array([0.0, bad]))
+    assert ensembles._poisson_pass.cache_info().misses == 0
+
+
 class TestMixedProbability:
     def test_background_at_start(self):
         trace = mixed_projection_probability(
@@ -318,6 +337,17 @@ class TestIntensityGain:
         assert math.isfinite(intensity_gain(atoms, CoherentInput(1e-300), math.pi / 2))
         with pytest.raises(ValueError, match="^intensity 1e-320 is too small"):
             intensity_gain(atoms, CoherentInput(1e-320), math.pi / 2)
+
+    @pytest.mark.parametrize("intensity", [1e-320, 1e-310, 5e-324])
+    @pytest.mark.parametrize("atoms", [0, AtomicMixture(0)], ids=["pure", "mixed"])
+    def test_subnormal_photon_moment_names_the_intensity(self, atoms, intensity):
+        # with no excited atoms the gain is cos^2(1) = 0.29193, all of it from
+        # x = intensity cos^2 tau, which below the normal range keeps few bits
+        assert intensity_gain(atoms, CoherentInput(1e-300), 1.0) == pytest.approx(
+            math.cos(1.0) ** 2, rel=1e-14
+        )
+        with pytest.raises(ValueError, match=f"^intensity {intensity!r} is too small"):
+            intensity_gain(atoms, CoherentInput(intensity), 1.0)
 
     def test_vanishing_projection_is_an_error(self):
         # sin^50(1e-8) underflows to zero weight

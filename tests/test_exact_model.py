@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm, lapack
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
@@ -265,24 +266,22 @@ class TestTwistedWeights:
             for got in both_paths(monkeypatch, h, i, TAU_16):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
-    def test_exact_eigenvalue_makes_zero_pivots(self, monkeypatch):
+    def test_exact_eigenvalue_makes_zero_pivots(self):
         # LAPACK returns the lambda = 0 eigenvalue of the zero-diagonal block
         # as a few 1e-14; handed over exactly, it makes the first pivot of
         # both passes exactly zero
-        import scipy.linalg
-
-        eigvalsh = scipy.linalg.eigvalsh_tridiagonal
-
-        def exact_zero(*args, **kwargs):
-            w = eigvalsh(*args, **kwargs)
-            assert np.sum(np.abs(w) < 1e-9) == 1
-            return np.where(np.abs(w) < 1e-9, 0.0, w)
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", exact_zero)
         h = _zero_diagonal_block()
+        a, b = h.diagonal, h.off_diagonal
+        w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
+        assert np.sum(np.abs(w) < 1e-9) == 1
+        w = np.where(np.abs(w) < 1e-9, 0.0, w)
+        dense_w, v = eigensystem(h)
         for i in _indices(h):
-            dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
-            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+            kept, weights = exact_model._twisted_weights(a, b, i, w)
+            assert 0.0 in kept
+            want = np.abs(v[0] * v[i] @ np.exp(-1j * np.outer(dense_w, TAU_16))) ** 2
+            got = np.abs(weights @ np.exp(-1j * np.outer(kept, TAU_16))) ** 2
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
     @pytest.mark.parametrize("split", ["zero-coupling", "two-wells"])
     def test_split_block_falls_back_to_dense(self, monkeypatch, split):
@@ -312,6 +311,103 @@ class TestTwistedWeights:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert np.all((trace.values >= 0.0) & (trace.values <= 1.0 + 1e-12))
+
+
+# resonant blocks: the centred diagonal is exactly zero
+RESONANT = {
+    "dim-513": lambda: build_sector(10**5, 512),
+    "dim-514": lambda: build_sector(10**5, 513),
+    "dim-601": lambda: build_sector(10**6, 600),
+    "E>N": lambda: build_sector(650, 900),
+}
+
+
+def _general_path(monkeypatch, h, i, tau):
+    """Probabilities with the half-spectrum route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(exact_model, "_positive_half", lambda b, i: None)
+        return exact_projection_probability(h, h.basis.states[i], tau).values
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("block", RESONANT)
+    def test_positive_eigenvalues_match_bisection(self, block):
+        # bisection on the zero-diagonal matrix finds its eigenvalues to high
+        # relative accuracy (Demmel & Kahan 1990)
+        b = RESONANT[block]().off_diagonal
+        dim = b.size + 1
+        w, _, _ = exact_model._positive_half(b, 0)
+        norm = 2.0 * np.abs(b).max()
+        m, want, *_, info = lapack.dstebz(np.zeros(dim), b, 1, 0.0, norm, 0, 0,
+                                          2 * np.finfo(float).tiny, "E")
+        assert info == 0 and m == w.size == dim // 2
+        np.testing.assert_allclose(np.sort(w), np.sort(want[:m]), rtol=0,
+                                   atol=10 * np.finfo(float).eps * norm)
+
+    def test_zero_eigenvector_weight_matches_dense(self):
+        h = RESONANT["dim-601"]()
+        w, v = eigensystem(h)
+        k = np.argmin(np.abs(w - h.diagonal[0]))
+        for i in [*range(0, h.basis.dim, 2), 1, 3, 301, 599]:
+            _, weight, mass = exact_model._positive_half(h.off_diagonal, i)
+            assert mass == pytest.approx(v[0, k] ** 2, rel=1e-12)
+            assert weight == pytest.approx(v[0, k] * v[i, k], rel=1e-10, abs=1e-15), i
+            if i % 2:
+                assert weight == 0.0
+        assert exact_model._positive_half(RESONANT["dim-514"]().off_diagonal, 0)[1:] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("block", ["dim-513", "dim-514"])
+    def test_matches_expm_multiply(self, monkeypatch, block):
+        h = RESONANT[block]()
+
+        def general(*args, **kwargs):
+            raise AssertionError("left the half-spectrum route")
+
+        monkeypatch.setattr(exact_model, "eigensystem", general)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", general)
+        indices = [0, 1, 2, 3, 256, 257, h.basis.dim - 2, h.basis.dim - 1]
+        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr") / h.g
+        starts = np.eye(h.basis.dim, dtype=complex)[:, indices]
+        psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
+                            num=TAU_16.size, endpoint=True)
+        for col, i in enumerate(indices):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, np.abs(psi[:, 0, col]) ** 2, rtol=0, atol=1e-11,
+                                       err_msg=f"i={i}")
+
+    @pytest.mark.parametrize("block", RESONANT)
+    def test_agrees_with_the_general_path(self, monkeypatch, block):
+        h = RESONANT[block]()
+        for i in _indices(h):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            want = _general_path(monkeypatch, h, i, TAU_16)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    @pytest.mark.parametrize("site", [300, 301])
+    def test_zero_coupling_falls_back(self, monkeypatch, site):
+        # a zero b_2k makes B singular, which fails the twisted completeness
+        # check; a zero b_2k+1 makes the lambda = 0 eigenvector infinite
+        h = RESONANT["dim-601"]()
+        off = h.off_diagonal.copy()
+        off[site] = 0.0
+        h = SectorHamiltonian(h.basis, h.diagonal, off, 1.0, 1.0, 1.0)
+        calls = []
+        half = exact_model._positive_half
+        monkeypatch.setattr(exact_model, "_positive_half", lambda b, i: calls.append(i) or half(b, i))
+        for i in (0, 1, 300):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_array_equal(got, _general_path(monkeypatch, h, i, TAU_16))
+        assert calls == [0, 1, 300]
+
+    def test_overflowing_square_falls_back(self, monkeypatch):
+        # b^2 overflows at g = 1e160; scaled time keeps the probabilities of g = 1
+        h = build_sector(10**6, 600, g=1e160)
+        assert exact_model._positive_half(h.off_diagonal, 0) is None
+        for i in (0, 1, 300):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_array_equal(got, _general_path(monkeypatch, h, i, TAU_16))
+            want = exact_projection_probability(RESONANT["dim-601"](), h.basis.states[i], TAU_16)
+            np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
 
 class TestHpDeviation:
