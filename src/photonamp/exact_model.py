@@ -21,8 +21,9 @@ two rows of the eigenvector matrix. Blocks of dimension above
 _DENSE_MAX_DIM get them without the eigenvectors: LAPACK's eigenvalues
 plus one twisted factorization per eigenvalue, in O(dim) memory and
 O(dim^2) time. Smaller blocks use LAPACK's dense eigenvectors, which are
-faster there. At resonance (omega = omega0) the spectrum comes in +-lambda
-pairs, and the large blocks solve only its positive half.
+faster there. At resonance the spectrum comes in +-lambda pairs, and large
+blocks whose centred diagonal is exactly zero (omega = omega0 = 1) solve
+only its positive half.
 """
 from __future__ import annotations
 
@@ -365,13 +366,13 @@ def exact_projection_probability(
     for a strongly detuned block at tau/g = 30) and each lies within 4e-13
     of a 40-digit eigendecomposition where one was made.
 
-    Above the cutoff, a block with an exactly zero centred diagonal (any
-    build_sector block with omega = omega0) first twists only its lambda > 0
-    from `_positive_half`. The weight at -lambda is (-1)^i times that at
-    lambda, so the amplitude is w_0 + 2 sum_k w_k cos(lambda_k tau/g) for
-    even i and -2i sum_k w_k sin(lambda_k tau/g) for odd i, checked by
-    2 sum_k v[0, k]^2 + v[0, lambda=0]^2 = 1; a failure of either takes the
-    general route. The two agree within 4e-13 on blocks of dim 513 to 3001.
+    Above the cutoff, a block with an exactly zero centred diagonal (every
+    build_sector block with omega = omega0 = 1) first twists only its
+    eigenvalues lambda > 0, from `_positive_half`: the weight at -lambda is
+    (-1)^i times that at lambda, so the amplitude is a real sum of cosines
+    (even i) or sines (odd i), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
+    v_0(0) at lambda = 0. If either fails, the block takes the general
+    route; the two agree within 4e-13 on blocks of dim 513 to 3001.
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
@@ -381,8 +382,8 @@ def exact_projection_probability(
     centred = replace(h, diagonal=h.diagonal - np.mean(h.diagonal))
     a, b = centred.diagonal, centred.off_diagonal
     weights, phase = None, _unit_phase
-    if h.basis.dim > _DENSE_MAX_DIM and not a.any():
-        half = _positive_half(b, i_init)
+    if h.basis.dim > _DENSE_MAX_DIM:
+        half = None if a.any() else _positive_half(b, i_init)
         if half is not None:
             w, zero_weight, zero_mass = half
             w, weights = _twisted_weights(a, b, i_init, w, (1.0 - zero_mass) / 2.0)
@@ -390,8 +391,8 @@ def exact_projection_probability(
             # +-lambda pairs: cosines for even i; sines, and w_0 = 0, for odd i
             w, weights = np.append(w, 0.0), np.append(2.0 * weights, zero_weight)
             phase = np.sin if i_init % 2 else np.cos
-    if weights is None and h.basis.dim > _DENSE_MAX_DIM:
-        w, weights = _twisted_weights(a, b, i_init)
+        else:
+            w, weights = _twisted_weights(a, b, i_init)
     if weights is None:
         w, v = eigensystem(centred)
         weights = v[0, :] * v[i_init, :]

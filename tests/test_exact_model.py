@@ -391,9 +391,9 @@ class TestHalfSpectrum:
         off = h.off_diagonal.copy()
         off[site] = 0.0
         h = SectorHamiltonian(h.basis, h.diagonal, off, 1.0, 1.0, 1.0)
-        calls = []
-        half = exact_model._positive_half
-        monkeypatch.setattr(exact_model, "_positive_half", lambda b, i: calls.append(i) or half(b, i))
+        calls, half = [], exact_model._positive_half
+        monkeypatch.setattr(exact_model, "_positive_half",
+                            lambda b, i: calls.append(i) or half(b, i))
         for i in (0, 1, 300):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_array_equal(got, _general_path(monkeypatch, h, i, TAU_16))
