@@ -39,7 +39,7 @@ from .ensembles import (
 )
 from .exact_model import build_sector, exact_projection_probability
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _d_column
+from .numerics import _d_column, _require_finite, _require_whole
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = ["main"]
@@ -189,13 +189,8 @@ def _config_flags(command: str, path: str) -> list[str]:
 def _tau_grid(cfg: dict) -> np.ndarray:
     if cfg["grid_points"] < 2:
         raise UsageError(f"grid_points must be >= 2, got {cfg['grid_points']}")
-    for name in ("tau_min", "tau_max"):
-        if not math.isfinite(cfg[name]):
-            raise UsageError(f"{name} must be finite, got {cfg[name]}")
-    if not math.isfinite(cfg["tau_max"] - cfg["tau_min"]):
-        raise UsageError(
-            f"tau_max - tau_min overflows, got [{cfg['tau_min']}, {cfg['tau_max']}]"
-        )
+    _require_finite(tau_min=cfg["tau_min"], tau_max=cfg["tau_max"],
+                    **{"tau_max - tau_min": cfg["tau_max"] - cfg["tau_min"]})
     if not cfg["tau_min"] < cfg["tau_max"]:
         raise UsageError(
             f"tau_min must be below tau_max, got [{cfg['tau_min']}, {cfg['tau_max']}]"
@@ -314,13 +309,9 @@ def _run_fig3(cfg: dict) -> dict:
 
 
 def _run_wigner(cfg: dict) -> dict:
-    n_e, n = cfg["n_e"], cfg["n"]
-    if n_e < 0 or n < 0:
-        raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
+    n_e, n = _require_whole(n_e=cfg["n_e"], n=cfg["n"])
     tau = _tau_grid(cfg)
-    for name in ("tau_min", "tau_max"):
-        if not math.isfinite(2.0 * cfg[name]):
-            raise UsageError(f"{name} must keep the rotation angle 2*tau finite, got {cfg[name]}")
+    _require_finite(**{"2*tau_min": 2.0 * cfg["tau_min"], "2*tau_max": 2.0 * cfg["tau_max"]})
     columns = np.array([_d_column(n_e + n, n_e - n, 2.0 * t) for t in tau])
     return {"tau": tau, "series": {f"d_ne{k}": d for k, d in enumerate(columns.T)}}
 

@@ -12,12 +12,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _require_whole
+from .numerics import _require_finite, _require_whole
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -80,9 +81,7 @@ class CoherentInput:
             return
         (nmax,) = _require_whole(truncation_nmax=self.truncation_nmax)
         object.__setattr__(self, "truncation_nmax", nmax)
-        if self.truncation_nmax < 0 or _poisson_tail(
-            self.truncation_nmax, self.intensity
-        ) >= POISSON_TAIL_BOUND:
+        if _poisson_tail(nmax, self.intensity) >= POISSON_TAIL_BOUND:
             raise ValueError(
                 f"truncation_nmax={self.truncation_nmax} leaves a Poisson tail "
                 f">= {POISSON_TAIL_BOUND} at intensity {self.intensity}"
@@ -107,8 +106,6 @@ class AtomicMixture:
     n_e_max: int
 
     def __post_init__(self) -> None:
-        if self.n_e_max < 0:
-            raise ValueError(f"n_e_max must be >= 0, got {self.n_e_max}")
         (n_e_max,) = _require_whole(n_e_max=self.n_e_max)
         object.__setattr__(self, "n_e_max", n_e_max)
 
@@ -148,11 +145,8 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray
     single pass; the cache keeps that 4 x len(tau) array alive until the
     next miss.
     """
-    if n_e < 0:
-        raise ValueError(f"n_e must be non-negative, got {n_e}")
     (n_e,) = _require_whole(n_e=n_e)
-    if not np.isfinite(tau).all():  # checked before the pass and its cache
-        raise ValueError("tau_grid must be finite at every point")
+    _require_finite(tau_grid=tau)  # before the pass and its cache
     return _poisson_pass(n_e, intensity, tau.shape, tau.tobytes())
 
 
@@ -252,14 +246,13 @@ def intensity_gain(
     closed form. Approaches n_e/intensity for the pure state and
     n_e/(2*intensity) for the uniform mixture as tau -> pi/2.
 
-    Raises where the gain overflows, or where x = intensity cos^2 tau is
-    subnormal, keeping few bits, and its term of at most (n_e + 1) cos^2 tau
-    in the gain is not negligible.
+    Raises where the gain overflows, or where x = intensity cos^2 tau was
+    rounded to a subnormal, keeping few bits, and its term of at most
+    (n_e + 1) cos^2 tau in the gain is not negligible.
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    _require_finite(tau=tau)
     mixture = isinstance(atoms, AtomicMixture)
     n_e = atoms.n_e_max if mixture else atoms
     q, t, q_sum, t_sum = _poisson_averages(n_e, input.intensity, np.array([float(tau)]))[:, 0]
@@ -277,7 +270,8 @@ def intensity_gain(
         )
     cos2 = math.cos(tau) ** 2
     x = input.intensity * cos2
-    if x < sys.float_info.min and gain * sys.float_info.epsilon < (n_e + 1) * cos2:
+    if (x < sys.float_info.min and gain * sys.float_info.epsilon < (n_e + 1) * cos2
+            and Fraction(x) != Fraction(input.intensity) * Fraction(cos2)):
         raise ValueError(f"intensity {input.intensity!r} is too small: intensity*cos(tau)^2"
                          f" = {x!r} is subnormal at tau={tau}")
     return gain
@@ -291,8 +285,6 @@ def perception_time(n_e: int, n: int) -> float:
     returned by convention. With n_e = 0 and photons present the maximum
     degenerates to tau = 0.
     """
-    if n_e < 0 or n < 0:
-        raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     n_e, n = _require_whole(n_e=n_e, n=n)
     if n_e == 0 and n == 0:
         return math.pi / 2.0
@@ -303,6 +295,7 @@ def threshold_time(n_e: int, n: int, epsilon: float = 0.01) -> float:
     """Earliest scaled time at which the detection probability reaches
     epsilon, located by bisection on the rising flank (the probability
     increases monotonically up to the perception time)."""
+    _require_finite(epsilon=epsilon)
     if not 0.0 < epsilon:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     tau_peak = perception_time(n_e, n)
@@ -337,12 +330,10 @@ def discriminate_photon_number(
     are well separated for n_e a few times larger than n; the nearest one
     wins, with ties resolved toward smaller n.
     """
-    if not 0.0 < observed_peak_time <= math.pi / 2.0 + 1e-12:
+    if not 0.0 < observed_peak_time <= math.pi / 2.0 + 1e-12:  # NaN fails too
         raise ValueError(
-            f"observed peak time must lie in (0, pi/2], got {observed_peak_time}"
+            f"observed_peak_time must lie in (0, pi/2], got {observed_peak_time!r}"
         )
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
     (n_max,) = _require_whole(n_max=n_max)
     # perception_time checks n_e at the first candidate, n = 0
     candidates = np.array([perception_time(n_e, n) for n in range(n_max + 1)])

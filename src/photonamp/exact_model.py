@@ -28,12 +28,13 @@ only its positive half.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .hp_model import ground_projection_probabilities
-from .numerics import _require_whole
+from .numerics import _require_finite, _require_whole
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -46,9 +47,11 @@ __all__ = [
 ]
 
 # Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
-# the twisted factorizations. With a 256-point grid on a 2-vCPU Xeon a whole
-# call takes 2.6 against 4.9 ms at dim 98 and 24 against 26 ms at dim 501,
-# 33 against 24 ms at dim 601.
+# the twisted factorizations. The cutoff was set on the general route: with a
+# 256-point grid on a 2-vCPU Xeon a whole call takes 2.6 against 4.9 ms at
+# dim 98, 24 against 26 ms at dim 501 and 33 against 24 ms at dim 601. The
+# resonant half-spectrum route beats dense from about dim 200 (4.8 against
+# 4.3 ms at dim 207, 13.5 against 8.5 ms at dim 439, N = 2e5).
 _DENSE_MAX_DIM = 512
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
@@ -60,6 +63,9 @@ _NEGLIGIBLE = 1e-20
 # Allowed |sum_k v[0, k]^2 - 1| of the twisted eigenvectors; the tested
 # build_sector blocks, dim 451 to 10^4, stay below 2e-14.
 _COMPLETENESS_TOL = 1e-10
+# Largest allowed phase error bound eps * |H_centred| * max|tau| / g; the
+# tested blocks and the benchmark's grids stay below 1e-11.
+_PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,6 @@ class SectorBasis:
     states: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.N_atoms < 1:
-            raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
-        if self.total_excitation < 0:
-            raise ValueError(f"total excitation must be >= 0, got {self.total_excitation}")
         N, E = _require_whole(N_atoms=self.N_atoms, total_excitation=self.total_excitation)
         object.__setattr__(self, "N_atoms", N)
         object.__setattr__(self, "total_excitation", E)
@@ -94,7 +96,7 @@ class SectorBasis:
     def index_of(self, n_e: int, n: int) -> int:
         """Position of |n_e; n> in the block; raises if outside it."""
         n_e, n = _require_whole(n_e=n_e, n=n)
-        if n_e + n != self.total_excitation or not 0 <= n_e < self.dim or n < 0:
+        if n_e + n != self.total_excitation or n_e >= self.dim:
             raise ValueError(
                 f"state (n_e={n_e}, n={n}) is not in the sector with "
                 f"E={self.total_excitation}, N={self.N_atoms}"
@@ -105,7 +107,8 @@ class SectorBasis:
 @dataclass(frozen=True)
 class SectorHamiltonian:
     """Real symmetric tridiagonal block; off_diagonal[k] couples basis
-    states k and k+1. Arrays are frozen after construction."""
+    states k and k+1. Arrays are frozen after construction; they, omega and
+    omega0 must be finite, and g finite and positive."""
 
     basis: SectorBasis
     diagonal: np.ndarray
@@ -122,6 +125,10 @@ class SectorHamiltonian:
                 f"tridiagonal shapes inconsistent with dim {self.basis.dim}: "
                 f"{diag.shape}, {off.shape}"
             )
+        _require_finite(omega=self.omega, omega0=self.omega0, g=self.g,
+                        diagonal=diag, off_diagonal=off)
+        if not self.g > 0:
+            raise ValueError(f"g must be positive, got {self.g!r}")
         diag.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
@@ -153,11 +160,7 @@ def build_sector(
     where the coupling is exactly g (E <= 1) come out bit-exact for any N.
     """
     N_atoms, E = _require_whole(N_atoms=N_atoms, E=E)
-    for name, value in (("omega", omega), ("omega0", omega0), ("g", g)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if g <= 0:
-        raise ValueError(f"coupling g must be positive, got {g}")
+    _require_finite(omega=omega, omega0=omega0)  # g is checked by SectorHamiltonian
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
     n_e = np.arange(basis.dim, dtype=float)
     n = E - n_e
@@ -364,7 +367,9 @@ def exact_projection_probability(
     rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
     blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
     for a strongly detuned block at tau/g = 30) and each lies within 4e-13
-    of a 40-digit eigendecomposition where one was made.
+    of a 40-digit eigendecomposition where one was made. A tau_grid that is
+    not finite, or where the bound eps * |H_centred| * max|tau| / g exceeds
+    _PHASE_TOL (1e-8), raises a ValueError naming it before any solve.
 
     Above the cutoff, a block with an exactly zero centred diagonal (every
     build_sector block with omega = omega0 = 1) first twists only its
@@ -377,10 +382,16 @@ def exact_projection_probability(
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
     tau = np.asarray(tau_grid, dtype=float)
+    _require_finite(tau_grid=tau)
     # factor the centred block: the mean diagonal (about -N/2) is a global
     # phase, and eigenvalues shifted back by it would carry its rounding
     centred = replace(h, diagonal=h.diagonal - np.mean(h.diagonal))
     a, b = centred.diagonal, centred.off_diagonal
+    norm = float(np.abs(a).max() + 2.0 * np.abs(b).max(initial=0.0))  # >= |H_centred|
+    tau_max = float(np.abs(tau).max(initial=0.0))
+    if not sys.float_info.epsilon * norm * tau_max / h.g <= _PHASE_TOL:  # NaN fails too
+        raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau|/g "
+                         f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
     weights, phase = None, _unit_phase
     if h.basis.dim > _DENSE_MAX_DIM:
         half = None if a.any() else _positive_half(b, i_init)
@@ -430,6 +441,7 @@ def hp_deviation(
     Sectors with n_e + n <= 1 are exactly beam-splitter-like for every N,
     so their deviation sits at the floating-point floor.
     """
+    N_atoms, n_e, n = _require_whole(N_atoms=N_atoms, n_e=n_e, n=n)
     h = build_sector(N_atoms, n_e + n, omega=1.0, omega0=1.0, g=1.0)
     exact = exact_projection_probability(h, (n_e, n), tau_grid).values
     approx = ground_projection_probabilities(n_e, n, tau_grid)

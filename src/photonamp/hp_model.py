@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _d_column, _require_whole, log_binomial
+from .numerics import _d_column, _require_finite, _require_whole, log_binomial
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -49,8 +49,6 @@ class TwoModeFockState:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n_e < 0 or self.n < 0:
-            raise ValueError(f"occupation numbers must be non-negative: {self}")
         n_e, n = _require_whole(n_e=self.n_e, n=self.n)
         object.__setattr__(self, "n_e", n_e)
         object.__setattr__(self, "n", n)
@@ -77,10 +75,8 @@ class HpEvolutionParams:
     validity_ratio: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("tau", "omega_over_g", "omega0_over_g", "validity_ratio"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(tau=self.tau, omega_over_g=self.omega_over_g,
+                        omega0_over_g=self.omega0_over_g, validity_ratio=self.validity_ratio)
         if not math.isfinite(2.0 * float(self.tau)):
             raise ValueError(f"tau must keep the rotation angle 2*tau finite, got {self.tau!r}")
         if self.omega_over_g != self.omega0_over_g:
@@ -89,8 +85,6 @@ class HpEvolutionParams:
                 f"omega_over_g={self.omega_over_g} != omega0_over_g={self.omega0_over_g} "
                 "(detuning is supported only by the exact sector solver)"
             )
-        if self.N_atoms < 1:
-            raise ValueError(f"N_atoms must be positive, got {self.N_atoms}")
         (N_atoms,) = _require_whole(N_atoms=self.N_atoms)
         object.__setattr__(self, "N_atoms", N_atoms)
 
@@ -166,11 +160,8 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     vanishing bases enter only via the 0^0 = 1 convention (a zero
     exponent drops the factor entirely).
     """
-    if n_e < 0 or n < 0:
-        raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     n_e, n = _require_whole(n_e=n_e, n=n)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
+    _require_finite(tau=tau)
     c_sq = math.cos(tau) ** 2
     s_sq = math.sin(tau) ** 2
     log_p = log_binomial(n + n_e, n_e)
@@ -187,12 +178,9 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
 
 def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> np.ndarray:
     """Vectorized ground_projection_probability over a grid of scaled times."""
-    if n_e < 0 or n < 0:
-        raise ValueError(f"occupation numbers must be non-negative: n_e={n_e}, n={n}")
     n_e, n = _require_whole(n_e=n_e, n=n)
     tau = np.asarray(tau_grid, dtype=float)
-    if not np.isfinite(tau).all():
-        raise ValueError("tau_grid must be finite at every point")
+    _require_finite(tau_grid=tau)
     log_p = np.full(tau.shape, log_binomial(n + n_e, n_e))
     with np.errstate(divide="ignore"):
         if n > 0:

@@ -2,8 +2,8 @@
 
 Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
-  * _require_whole: the whole-number check on the other layers' counts,
-    which hands them back as ints.
+  * _require_whole / _require_finite / _twice: the argument checks of the
+    public entry points, raising a ValueError that names the argument.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
     d^j_{m',m}(beta) about the y axis, read off whole columns
@@ -41,14 +41,7 @@ class HalfInteger:
     @classmethod
     def of(cls, x: "HalfInteger | int | float") -> "HalfInteger":
         """Coerce an int, an exact multiple of 1/2, or a HalfInteger."""
-        if isinstance(x, HalfInteger):
-            return x
-        if isinstance(x, (int, np.integer)):
-            return cls(2 * int(x))
-        twice = 2.0 * float(x)
-        if twice != round(twice):
-            raise ValueError(f"{x!r} is not an integer or half-integer")
-        return cls(int(round(twice)))
+        return x if isinstance(x, HalfInteger) else cls(*_twice(x=x))
 
     @property
     def value(self) -> float:
@@ -72,25 +65,52 @@ class HalfInteger:
 
 def _require_whole(**counts) -> tuple[int, ...]:
     """The counts as ints, in order; raises a ValueError naming the first
-    count that is not a whole number (whole-valued floats pass)."""
+    count that is not a whole number (whole-valued floats pass, NaN and
+    +-inf do not) or is below 1 for N_atoms, 0 for any other count."""
     for name, value in counts.items():
         if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
             raise ValueError(f"{name} must be a whole number, got {value!r}")
+        if value < (name == "N_atoms"):
+            least = "positive" if name == "N_atoms" else "non-negative"
+            raise ValueError(f"{name} must be {least}, got {value!r}")
     return tuple(map(int, counts.values()))
 
 
+def _require_finite(**values) -> None:
+    """Raises a ValueError naming the first real scalar, or array such as a
+    tau grid, that is not finite (at every point)."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite at every point")
+        elif not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _twice(**labels) -> tuple[int, ...]:
+    """Twice each angular-momentum label (a HalfInteger, int or float) as an
+    int, in order; raises a ValueError naming the first label that is not a
+    multiple of 1/2 (NaN and +-inf are not)."""
+    for name, x in labels.items():
+        if not (isinstance(x, (int, np.integer, HalfInteger)) or (2.0 * float(x)).is_integer()):
+            raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
+    return tuple(x.twice_value if isinstance(x, HalfInteger) else int(2 * x)
+                 for x in labels.values())
+
+
 def log_factorial(k: int) -> float:
-    """ln(k!) for k >= 0."""
-    if k != int(k) or k < 0:
-        raise ValueError(f"factorial argument must be a non-negative integer, got {k!r}")
+    """ln(k!) for whole k >= 0."""
+    if not (k >= 0 and float(k).is_integer()):  # inline: the closed form's hot path
+        raise ValueError(f"k must be {'non-negative' if k < 0 else 'a whole number'}, got {k!r}")
     return math.lgamma(int(k) + 1)
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln(n choose k) for 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial out of domain: n={n}, k={k}")
-    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
+    """ln(n choose k) for whole 0 <= k <= n."""
+    if not (0 <= k <= n and float(n).is_integer() and float(k).is_integer()):
+        n, k = _require_whole(n=n, k=k)  # names a count that is not one
+        raise ValueError(f"k must not exceed n, got n={n}, k={k}")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 # An edge below 2^_EXP_UNDERFLOW starts its run as a bare mantissa; the run
@@ -202,13 +222,10 @@ def wigner_small_d(
 
     Satisfies d^j_{m',m}(beta) = d^j_{m,m'}(-beta).
     """
-    tj = HalfInteger.of(j).twice_value
-    tmp = HalfInteger.of(m_prime).twice_value
-    tm = HalfInteger.of(m).twice_value
+    tj, tmp, tm = _twice(j=j, m_prime=m_prime, m=m)
     if tj < 0:
-        raise ValueError(f"j must be non-negative, got 2j={tj}")
-    if not math.isfinite(beta):
-        raise ValueError(f"rotation angle must be finite, got {beta!r}")
+        raise ValueError(f"j must be non-negative, got {j!r}")
+    _require_finite(beta=beta)
     if abs(tm) > tj or abs(tmp) > tj:
         raise ValueError(
             f"rotation indices out of range: |m|, |m'| must not exceed j "
@@ -225,9 +242,8 @@ def wigner_small_d(
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) rotation matrix, rows/columns ordered by
     ascending m', m in {-j, ..., j}."""
-    tj = HalfInteger.of(j).twice_value
+    (tj,) = _twice(j=j)
     if tj < 0:
-        raise ValueError(f"j must be non-negative, got j={j!r}")
-    if not math.isfinite(beta):
-        raise ValueError(f"rotation angle must be finite, got {beta!r}")
+        raise ValueError(f"j must be non-negative, got {j!r}")
+    _require_finite(beta=beta)
     return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import _require_finite
+
 __all__ = ["ProbabilityTrace"]
 
 VALUE_SLACK = 1e-12
@@ -34,8 +36,7 @@ class ProbabilityTrace:
             )
         if tau.size == 0:
             raise ValueError("trace needs at least one grid point")
-        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(vals))):
-            raise ValueError("tau grid and probabilities must be finite")
+        _require_finite(tau_grid=tau, values=vals)
         if np.any(np.diff(tau) <= 0):
             raise ValueError("tau grid must be strictly ascending")
         if np.any(vals < -VALUE_SLACK) or np.any(vals > 1.0 + VALUE_SLACK):

@@ -233,7 +233,7 @@ class TestConfigFile:
         [
             ("format=xml", ["--format", "xml"], "argument --format: invalid choice: 'xml'"),
             ("grid_points=x", ["--grid-points", "x"], "argument --grid-points: invalid int value"),
-            ("n_e=-3", ["--n-e", "-3"], "n_e=-3"),
+            ("n_e=-3", ["--n-e", "-3"], "photonamp: error: n_e must be non-negative, got -3\n"),
         ],
         ids=["format", "grid_points", "n_e"],
     )
@@ -286,7 +286,8 @@ class TestExitCodes:
             (["fig3", "--n-e-max", "-1", "--grid-points", "4"], "non-negative"),
             (["exact-compare", "--N", "0", "--grid-points", "4"], "N_atoms"),
             (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
-            (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"], "n=-1"),
+            (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"],
+             "photonamp: error: n must be non-negative, got -1\n"),
         ],
         ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate", "wigner"],
     )

@@ -1,0 +1,172 @@
+"""The argument contract of every public entry point: a count must be a
+non-negative whole number (N_atoms at least 1), a real scalar or a tau grid
+must be finite, and a call that breaks this raises a ValueError whose
+message starts with the argument's name, never an OverflowError or a
+silent value."""
+import math
+
+import numpy as np
+import pytest
+
+import photonamp
+from photonamp import (
+    AtomicMixture,
+    CoherentInput,
+    HalfInteger,
+    HpEvolutionParams,
+    SectorBasis,
+    SectorHamiltonian,
+    TwoModeFockState,
+    build_sector,
+    coherent_projection_probability,
+    discriminate_photon_number,
+    evolve_fock,
+    exact_projection_probability,
+    fwhm,
+    ground_projection_probabilities,
+    ground_projection_probability,
+    hp_deviation,
+    intensity_gain,
+    log_binomial,
+    log_factorial,
+    mixed_projection_probability,
+    perception_time,
+    threshold_time,
+    wigner_d_matrix,
+    wigner_small_d,
+)
+
+TAU = np.linspace(0.0, math.pi, 64)
+COUNT = (-1, 2.5, math.nan, math.inf)
+REAL = (math.nan, math.inf, -math.inf)
+GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
+LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
+INDEX = (0.25, math.nan, math.inf)  # m, m': any multiple of 1/2
+
+
+def block_grids(size):
+    return tuple(np.append(np.zeros(size - 1), v) for v in REAL)
+
+
+# Result records, returned rather than taken as input.
+EXEMPT = {"AmplitudeVector", "DiscriminationReport", "ProbabilityTrace"}
+
+# public name -> (call with every argument defaulted to a valid value,
+#                 {argument as the message names it: bad values})
+CONTRACT = {
+    "AtomicMixture": (lambda n_e_max=3: AtomicMixture(n_e_max), {"n_e_max": COUNT}),
+    "CoherentInput": (
+        lambda intensity=0.1, truncation_nmax=30: CoherentInput(intensity, truncation_nmax),
+        {"intensity": REAL, "truncation_nmax": COUNT},
+    ),
+    "HalfInteger": (lambda x=1.5: HalfInteger.of(x), {"x": INDEX}),
+    "HpEvolutionParams": (
+        lambda tau=0.3, omega_over_g=1.0, omega0_over_g=1.0, N_atoms=100, validity_ratio=0.01:
+        HpEvolutionParams(tau, omega_over_g, omega0_over_g, N_atoms, validity_ratio),
+        {"tau": REAL, "omega_over_g": REAL, "omega0_over_g": REAL,
+         "N_atoms": COUNT + (0,), "validity_ratio": REAL},
+    ),
+    "SectorBasis": (
+        lambda N_atoms=4, total_excitation=2: SectorBasis(N_atoms, total_excitation),
+        {"N_atoms": COUNT + (0,), "total_excitation": COUNT},
+    ),
+    "SectorHamiltonian": (
+        lambda diagonal=np.zeros(2), off_diagonal=np.ones(1), omega=1.0, omega0=1.0, g=1.0:
+        SectorHamiltonian(SectorBasis(4, 1), diagonal, off_diagonal, omega, omega0, g),
+        {"diagonal": block_grids(2), "off_diagonal": block_grids(1), "omega": REAL,
+         "omega0": REAL, "g": REAL + (0.0, -1.0)},
+    ),
+    "TwoModeFockState": (lambda n_e=2, n=1: TwoModeFockState(n_e, n), {"n_e": COUNT, "n": COUNT}),
+    "build_sector": (
+        lambda N_atoms=10, E=3, omega=1.0, omega0=1.0, g=1.0:
+        build_sector(N_atoms, E, omega, omega0, g),
+        {"N_atoms": COUNT + (0,), "E": COUNT, "omega": REAL, "omega0": REAL,
+         "g": REAL + (0.0, -1.0)},
+    ),
+    "coherent_projection_probability": (
+        lambda n_e=3, tau_grid=TAU: coherent_projection_probability(
+            n_e, CoherentInput(0.1), tau_grid),
+        {"n_e": COUNT, "tau_grid": GRID},
+    ),
+    "discriminate_photon_number": (
+        lambda n_e=10, observed_peak_time=1.0, n_max=4:
+        discriminate_photon_number(n_e, observed_peak_time, n_max),
+        {"n_e": COUNT, "observed_peak_time": REAL, "n_max": COUNT},
+    ),
+    # through the records it takes
+    "evolve_fock": (
+        lambda n_e=2, n=1, tau=0.3: evolve_fock(TwoModeFockState(n_e, n), HpEvolutionParams(tau)),
+        {"n_e": COUNT, "n": COUNT, "tau": REAL},
+    ),
+    "exact_projection_probability": (
+        lambda n_e=2, n=1, tau_grid=TAU: exact_projection_probability(
+            build_sector(10, 3), (n_e, n), tau_grid),
+        {"n_e": COUNT, "n": COUNT, "tau_grid": GRID + (np.array([0.0, 1e300]),)},
+    ),
+    # takes only a ProbabilityTrace, which checks itself
+    "fwhm": (lambda: fwhm(coherent_projection_probability(3, CoherentInput(0.1), TAU)), {}),
+    "ground_projection_probabilities": (
+        lambda n_e=3, n=1, tau_grid=TAU: ground_projection_probabilities(n_e, n, tau_grid),
+        {"n_e": COUNT, "n": COUNT, "tau_grid": GRID},
+    ),
+    "ground_projection_probability": (
+        lambda n_e=3, n=1, tau=0.5: ground_projection_probability(n_e, n, tau),
+        {"n_e": COUNT, "n": COUNT, "tau": REAL},
+    ),
+    "hp_deviation": (
+        lambda N_atoms=100, n_e=2, n=1, tau_grid=TAU: hp_deviation(N_atoms, n_e, n, tau_grid),
+        {"N_atoms": COUNT + (0,), "n_e": COUNT, "n": COUNT, "tau_grid": GRID},
+    ),
+    # the pure form's count is n_e; the mixture checks its own n_e_max
+    "intensity_gain": (
+        lambda n_e=3, tau=0.5: intensity_gain(n_e, CoherentInput(0.1), tau),
+        {"n_e": COUNT, "tau": REAL},
+    ),
+    "log_binomial": (lambda n=5, k=2: log_binomial(n, k), {"n": COUNT, "k": COUNT + (6,)}),
+    "log_factorial": (lambda k=5: log_factorial(k), {"k": COUNT + (-math.inf,)}),
+    "mixed_projection_probability": (
+        lambda tau_grid=TAU: mixed_projection_probability(
+            AtomicMixture(3), CoherentInput(0.1), tau_grid),
+        {"tau_grid": GRID},
+    ),
+    "perception_time": (lambda n_e=3, n=1: perception_time(n_e, n), {"n_e": COUNT, "n": COUNT}),
+    "threshold_time": (
+        lambda n_e=3, n=1, epsilon=0.01: threshold_time(n_e, n, epsilon),
+        {"n_e": COUNT, "n": COUNT, "epsilon": REAL},
+    ),
+    "wigner_d_matrix": (lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta), {"j": LABEL, "beta": REAL}),
+    "wigner_small_d": (
+        lambda j=1.5, m_prime=0.5, m=-0.5, beta=0.3: wigner_small_d(j, m_prime, m, beta),
+        {"j": LABEL, "m_prime": INDEX, "m": INDEX, "beta": REAL},
+    ),
+}
+
+
+def _label(value):
+    return f"grid[..,{value[-1]}]" if isinstance(value, np.ndarray) else repr(value)
+
+
+CASES = [
+    pytest.param(name, arg, value, id=f"{name}-{arg}={_label(value)}")
+    for name, (_, bad) in CONTRACT.items()
+    for arg, values in bad.items()
+    for value in values
+]
+
+
+def test_table_covers_every_public_name():
+    assert set(CONTRACT) | EXEMPT == set(photonamp.__all__)
+    assert not set(CONTRACT) & EXEMPT
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_defaults_are_accepted(name):
+    CONTRACT[name][0]()
+
+
+@pytest.mark.parametrize("name,arg,value", CASES)
+def test_bad_argument_raises_value_error_naming_it(name, arg, value):
+    call, _ = CONTRACT[name]
+    with pytest.raises(ValueError) as caught:
+        call(**{arg: value})
+    assert str(caught.value).startswith(f"{arg} must "), str(caught.value)

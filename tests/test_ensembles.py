@@ -349,6 +349,14 @@ class TestIntensityGain:
         with pytest.raises(ValueError, match=f"^intensity {intensity!r} is too small"):
             intensity_gain(atoms, CoherentInput(intensity), 1.0)
 
+    @pytest.mark.parametrize("atoms", [0, AtomicMixture(25)], ids=["pure", "mixed"])
+    def test_unrounded_subnormal_photon_moment_is_kept(self, atoms):
+        # at tau = 0, x = intensity * cos^2 tau = intensity exactly, however few
+        # its bits, and the gain is exactly 1; at tau = 1 x is rounded
+        assert intensity_gain(atoms, CoherentInput(1e-320), 0.0) == 1.0
+        with pytest.raises(ValueError, match="^intensity 1e-320 is too small"):
+            intensity_gain(0, CoherentInput(1e-320), 1.0)
+
     def test_vanishing_projection_is_an_error(self):
         # sin^50(1e-8) underflows to zero weight
         with pytest.raises(ValueError, match="vanishes"):

@@ -3,6 +3,7 @@ cross-checks, conservation and symmetry properties, and convergence of the
 exact probabilities toward the closed binomial form."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestBasisAndBuild:
         with pytest.raises(ValueError):
             h.diagonal[0] = 99.0
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            # g = inf used to give the tau = 0 value at every tau
+            ("g", math.inf, "g must be finite"),
+            ("g", -1.0, "g must be positive"),
+            ("omega0", math.nan, "omega0 must be finite"),
+            # a NaN diagonal used to fail inside scipy, naming no field
+            ("diagonal", np.array([0.0, math.nan, 0.0, 0.0]), "diagonal must be finite"),
+            ("off_diagonal", np.array([1.0, math.inf, 1.0]), "off_diagonal must be finite"),
+        ],
+    )
+    def test_hand_built_block_checks_its_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(build_sector(5, 3), **{field: value})
+
 
 class TestExactEvolution:
     def test_no_evolution_at_tau_zero(self):
@@ -113,6 +130,29 @@ class TestExactEvolution:
         h = build_sector(10, 4)
         with pytest.raises(ValueError):
             exact_projection_probability(h, (2, 1), TAU_256)
+
+    @pytest.mark.parametrize("E", [5, 600], ids=["dense", "twisted"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_grid_rejected_before_any_solve(self, monkeypatch, E, bad):
+        def no_solve(*args):
+            raise AssertionError("solved a block for a non-finite tau grid")
+
+        for name in ("eigensystem", "_twisted_weights", "_positive_half"):
+            monkeypatch.setattr(exact_model, name, no_solve)
+        with pytest.raises(ValueError, match="^tau_grid must be finite at every point"):
+            exact_projection_probability(build_sector(1000, E), (3, E - 3), np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("tau_max", [1e300, 1e12])
+    def test_phase_error_past_tolerance_names_tau_grid(self, tau_max):
+        # eps * |H| * tau/g: 1e300 used to return 0.130 without complaint
+        with pytest.raises(ValueError, match="^tau_grid must keep the phase error bound"):
+            exact_projection_probability(build_sector(1000, 5), (3, 2), np.array([0.0, tau_max]))
+
+    def test_phase_error_bound_leaves_room_for_long_grids(self):
+        # E = 3000 at tau = pi has a bound of about 2e-12, far inside 1e-8
+        h = build_sector(10**5, 3000)
+        assert exact_projection_probability(h, (1500, 1500), np.array([0.0, math.pi])).values.size == 2
+        exact_projection_probability(build_sector(1000, 5), (3, 2), np.array([0.0, 1e5]))
 
     def test_scaled_time_uses_physical_time(self):
         # doubling g halves the physical time for the same scaled time
