@@ -12,7 +12,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
@@ -246,9 +245,9 @@ def intensity_gain(
     closed form. Approaches n_e/intensity for the pure state and
     n_e/(2*intensity) for the uniform mixture as tau -> pi/2.
 
-    Raises where the gain overflows, or where x = intensity cos^2 tau was
-    rounded to a subnormal, keeping few bits, and its term of at most
-    (n_e + 1) cos^2 tau in the gain is not negligible.
+    Raises where the gain overflows, or where x = intensity cos^2 tau is
+    subnormal and lost bits a normal float would keep, and its term of at
+    most (n_e + 1) cos^2 tau in the gain is not negligible.
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
@@ -270,8 +269,9 @@ def intensity_gain(
         )
     cos2 = math.cos(tau) ** 2
     x = input.intensity * cos2
+    # scaled by 2^600 into the normal range, the product rounds to 53 bits
     if (x < sys.float_info.min and gain * sys.float_info.epsilon < (n_e + 1) * cos2
-            and Fraction(x) != Fraction(input.intensity) * Fraction(cos2)):
+            and math.ldexp(x, 600) != math.ldexp(input.intensity, 600) * cos2):
         raise ValueError(f"intensity {input.intensity!r} is too small: intensity*cos(tau)^2"
                          f" = {x!r} is subnormal at tau={tau}")
     return gain

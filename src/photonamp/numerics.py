@@ -100,13 +100,13 @@ def _twice(**labels) -> tuple[int, ...]:
 
 def log_factorial(k: int) -> float:
     """ln(k!) for whole k >= 0."""
-    if not (k >= 0 and float(k).is_integer()):  # inline: the closed form's hot path
-        raise ValueError(f"k must be {'non-negative' if k < 0 else 'a whole number'}, got {k!r}")
-    return math.lgamma(int(k) + 1)
+    (k,) = _require_whole(k=k)
+    return math.lgamma(k + 1)
 
 
 def log_binomial(n: int, k: int) -> float:
     """ln(n choose k) for whole 0 <= k <= n."""
+    # checked inline first: the closed forms call this on every evaluation
     if not (0 <= k <= n and float(n).is_integer() and float(k).is_integer()):
         n, k = _require_whole(n=n, k=k)  # names a count that is not one
         raise ValueError(f"k must not exceed n, got n={n}, k={k}")
