@@ -18,12 +18,13 @@ which shrinks like O(1/N).
 
 The projection probability needs only the products v[0, k] * v[i, k] of
 two rows of the eigenvector matrix. Blocks of dimension above
-_DENSE_MAX_DIM get them without the eigenvectors: LAPACK's eigenvalues
-plus one twisted factorization per eigenvalue, in O(dim) memory and
-O(dim^2) time. Smaller blocks use LAPACK's dense eigenvectors, which are
-faster there. At resonance the spectrum comes in +-lambda pairs, and large
-blocks whose centred diagonal is exactly zero (omega = omega0 = 1) solve
-only its positive half.
+_DENSE_MAX_DIM (256) get them without the eigenvectors: LAPACK's
+eigenvalues plus one twisted factorization per eigenvalue, in O(dim)
+memory and O(dim^2) time, each pivot pass ending at its last twist.
+Smaller blocks use LAPACK's dense eigenvectors, which are faster there. At
+resonance the spectrum comes in +-lambda pairs, and large blocks whose
+centred diagonal is exactly zero (omega = omega0 = 1) solve only its
+positive half.
 """
 from __future__ import annotations
 
@@ -47,12 +48,15 @@ __all__ = [
 ]
 
 # Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
-# the twisted factorizations. The cutoff was set on the general route: with a
-# 256-point grid on a 2-vCPU Xeon a whole call takes 2.6 against 4.9 ms at
-# dim 98, 24 against 26 ms at dim 501 and 33 against 24 ms at dim 601. The
-# resonant half-spectrum route beats dense from about dim 200 (4.8 against
-# 4.3 ms at dim 207, 13.5 against 8.5 ms at dim 439, N = 2e5).
-_DENSE_MAX_DIM = 512
+# the twisted factorizations. Median whole call, 256-point grid, N = 2e5,
+# one BLAS thread on a 2-vCPU Xeon, twisted against dense: the general
+# route (omega = 1.3) 5.2 against 3.8 ms at dim 151, 7.1 against 5.9 at
+# dim 208, 5.8 against 8.0 at dim 257, 7.2 against 9.6 at dim 301 and 12.2
+# against 14.9 at dim 440; the resonant half-spectrum route already wins at
+# dim 151 (2.7 against 4.0 ms) and 4.6 against 13.9 ms at dim 440. One
+# cutoff near the general route's crossover serves both, and below it the
+# resonant gain is under 2 ms a call.
+_DENSE_MAX_DIM = 256
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
 _BLOCK = 1 << 16
@@ -225,35 +229,43 @@ def _pivot_pass(
     stop_k = -1) and at j = stop_k + 1 (j = n - 1 for stop_k = n - 1);
     x_i/x_j is 0 before j = i, and x_0/x_j stays 1 when x0 is False. A
     zero pivot is replaced by one rounding unit of the matrix norm, a
-    backward-stable change of one element.
+    backward-stable change of one element. The loop ends at the last
+    stop_k + 1, since no state steps past it.
     """
     n = a.size
     pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
-    first = np.searchsorted(stop, np.arange(n + 1))  # first w_k with stop_k >= j
+    first = np.searchsorted(stop, np.arange(n + 1)).tolist()  # first w_k with stop_k >= j
+    last = min(int(stop.max(initial=-1)) + 1, n - 1)
+    a_next, b_list = a[1:].tolist(), b.tolist()
     cur = np.zeros((4, w.size))
     cur[0] = a[0] - w
     cur[2] = 1.0
     at_stop = np.full((4, w.size), np.nan)
     ratio = np.empty(w.size)
     lead = 2 if x0 else 3  # first row of the ratios x_./x_j that are stepped
-    for j in range(n):
-        lo = first[j]
+    lo = -1
+    for j in range(last + 1):
         if j == i:  # every state still running, stop_k >= i - 1
             cur[3, np.searchsorted(stop, i - 1):] = 1.0
-        at_stop[:, lo:first[j + 1]] = cur[:, lo:first[j + 1]]
-        if j == n - 1:
+        if first[j] < first[j + 1]:
+            at_stop[:, first[j]:first[j + 1]] = cur[:, first[j]:first[j + 1]]
+        if j == last:
             break
         # step the states with stop_k >= j to j + 1; the others stay frozen
-        d, s, f = cur[0, lo:], cur[1, lo:], ratio[lo:]
-        d[d == 0.0] = pivmin
-        np.divide(-b[j], d, out=f)  # x_j / x_{j+1}
-        cur[lead:4 if j >= i else 3, lo:] *= f  # x_0/x_j, and x_i/x_j from j = i
+        if first[j] != lo or j == i:
+            lo = first[j]
+            d, s, f, w_lo = cur[0, lo:], cur[1, lo:], ratio[lo:], w[lo:]
+            x = cur[lead:4 if j >= i else 3, lo:]  # x_0/x_j, and x_i/x_j from j = i
+        if not d.all():
+            d[d == 0.0] = pivmin
+        np.divide(-b_list[j], d, out=f)  # x_j / x_{j+1}
+        x *= f
         s += 1.0
         s *= f
         s *= f
-        np.multiply(f, b[j], out=d)
-        d += a[j + 1]
-        d -= w[lo:]
+        np.multiply(f, b_list[j], out=d)
+        d += a_next[j]
+        d -= w_lo
     return np.array([at_stop, cur])
 
 
@@ -357,7 +369,7 @@ def exact_projection_probability(
     The target is the all-atoms-ground state carrying every quantum as a
     photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau/g) over
     the eigenpairs of the block centred on its mean diagonal. Blocks of
-    dimension up to _DENSE_MAX_DIM (512) take the weights from `eigensystem`;
+    dimension up to _DENSE_MAX_DIM (256) take the weights from `eigensystem`;
     larger ones from eigenvalues and twisted factorizations
     (`_twisted_weights`), without the dim x dim eigenvector matrix, unless
     those fail their completeness check (only hand-built blocks with a zero
@@ -367,7 +379,9 @@ def exact_projection_probability(
     rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
     blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
     for a strongly detuned block at tau/g = 30) and each lies within 4e-13
-    of a 40-digit eigendecomposition where one was made. A tau_grid that is
+    of a 40-digit eigendecomposition where one was made. The twisted route
+    lies within 1e-13 of dense expm on the blocks of dimension 257 to 512
+    checked (resonant, detuned and E > N). A tau_grid that is
     not finite, or where the bound eps * |H_centred| * max|tau| / g exceeds
     _PHASE_TOL (1e-8), raises a ValueError naming it before any solve.
 
@@ -377,7 +391,8 @@ def exact_projection_probability(
     (-1)^i times that at lambda, so the amplitude is a real sum of cosines
     (even i) or sines (odd i), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
     v_0(0) at lambda = 0. If either fails, the block takes the general
-    route; the two agree within 4e-13 on blocks of dim 513 to 3001.
+    route; the two agree within 4e-13 on blocks of dim 513 to 3001, and
+    within 1e-13 on the resonant blocks of dim 257 to 512 checked.
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)

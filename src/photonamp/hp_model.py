@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _d_column, _require_finite, _require_whole, log_binomial
+from .numerics import _d_column, _require_finite, _require_whole, _too_large, log_binomial
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -150,6 +150,14 @@ def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> Amplitude
     return AmplitudeVector(total_quanta=total, amplitudes=amps)
 
 
+def _log_binomial_of(n_e: int, n: int) -> float:
+    """ln C(n + n_e, n_e) for checked counts; an overflow names the larger."""
+    try:
+        return log_binomial(n + n_e, n_e)
+    except ValueError:  # the only one left: ln((n + n_e)!) overflows
+        raise _too_large("n_e" if n_e > n else "n") from None
+
+
 def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     """Probability that projecting all atoms onto the collective ground
     state succeeds at scaled time tau, emitting all n + n_e quanta as
@@ -164,7 +172,7 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     _require_finite(tau=tau)
     c_sq = math.cos(tau) ** 2
     s_sq = math.sin(tau) ** 2
-    log_p = log_binomial(n + n_e, n_e)
+    log_p = _log_binomial_of(n_e, n)
     if n > 0:
         if c_sq == 0.0:
             return 0.0
@@ -181,7 +189,7 @@ def ground_projection_probabilities(n_e: int, n: int, tau_grid: np.ndarray) -> n
     n_e, n = _require_whole(n_e=n_e, n=n)
     tau = np.asarray(tau_grid, dtype=float)
     _require_finite(tau_grid=tau)
-    log_p = np.full(tau.shape, log_binomial(n + n_e, n_e))
+    log_p = np.full(tau.shape, _log_binomial_of(n_e, n))
     with np.errstate(divide="ignore"):
         if n > 0:
             log_p = log_p + n * np.log(np.cos(tau) ** 2)

@@ -38,6 +38,10 @@ class HalfInteger:
 
     twice_value: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.twice_value, (int, np.integer)):
+            raise ValueError(f"twice_value must be an int, got {self.twice_value!r}")
+
     @classmethod
     def of(cls, x: "HalfInteger | int | float") -> "HalfInteger":
         """Coerce an int, an exact multiple of 1/2, or a HalfInteger."""
@@ -98,19 +102,33 @@ def _twice(**labels) -> tuple[int, ...]:
                  for x in labels.values())
 
 
+def _too_large(name: str) -> ValueError:
+    """The error for a count whose log-factorial overflows a float (from
+    about 2.56e305, or an int beyond the float range); raised where lgamma
+    or float() overflows, so valid calls pay no check."""
+    return ValueError(f"{name} must be small enough that the log-factorial stays finite "
+                      f"(about 2.56e305 at most)")
+
+
 def log_factorial(k: int) -> float:
     """ln(k!) for whole k >= 0."""
     (k,) = _require_whole(k=k)
-    return math.lgamma(k + 1)
+    try:
+        return math.lgamma(k + 1)
+    except OverflowError:
+        raise _too_large("k") from None
 
 
 def log_binomial(n: int, k: int) -> float:
     """ln(n choose k) for whole 0 <= k <= n."""
     # checked inline first: the closed forms call this on every evaluation
-    if not (0 <= k <= n and float(n).is_integer() and float(k).is_integer()):
-        n, k = _require_whole(n=n, k=k)  # names a count that is not one
-        raise ValueError(f"k must not exceed n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    try:
+        if 0 <= k <= n and float(n).is_integer() and float(k).is_integer():
+            return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    except OverflowError:  # n >= k, so n is the count that overflowed
+        raise _too_large("n") from None
+    n, k = _require_whole(n=n, k=k)  # names a count that is not one
+    raise ValueError(f"k must not exceed n, got n={n}, k={k}")
 
 
 # An edge below 2^_EXP_UNDERFLOW starts its run as a bare mantissa; the run

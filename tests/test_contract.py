@@ -1,8 +1,9 @@
 """The argument contract of every public entry point: a count must be a
-non-negative whole number (N_atoms at least 1), a real scalar or a tau grid
-must be finite, and a call that breaks this raises a ValueError whose
-message starts with the argument's name, never an OverflowError or a
-silent value."""
+non-negative whole number (N_atoms at least 1) whose log-factorial, where
+one is taken, is a finite float; a real scalar or a tau grid must be
+finite; and a call that breaks this raises a ValueError whose message
+starts with the argument's name, never an OverflowError or a silent
+value."""
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from photonamp import (
 
 TAU = np.linspace(0.0, math.pi, 64)
 COUNT = (-1, 2.5, math.nan, math.inf)
+HUGE = (10**400, 1e308)  # whole counts whose log-factorial overflows a float
 REAL = (math.nan, math.inf, -math.inf)
 GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
 LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
@@ -59,7 +61,10 @@ CONTRACT = {
         lambda intensity=0.1, truncation_nmax=30: CoherentInput(intensity, truncation_nmax),
         {"intensity": REAL, "truncation_nmax": COUNT},
     ),
-    "HalfInteger": (lambda x=1.5: HalfInteger.of(x), {"x": INDEX}),
+    "HalfInteger": (
+        lambda x=1.5, twice_value=3: (HalfInteger.of(x), HalfInteger(twice_value)),
+        {"x": INDEX, "twice_value": (math.nan, 2.5)},
+    ),
     "HpEvolutionParams": (
         lambda tau=0.3, omega_over_g=1.0, omega0_over_g=1.0, N_atoms=100, validity_ratio=0.01:
         HpEvolutionParams(tau, omega_over_g, omega0_over_g, N_atoms, validity_ratio),
@@ -107,11 +112,11 @@ CONTRACT = {
     "fwhm": (lambda: fwhm(coherent_projection_probability(3, CoherentInput(0.1), TAU)), {}),
     "ground_projection_probabilities": (
         lambda n_e=3, n=1, tau_grid=TAU: ground_projection_probabilities(n_e, n, tau_grid),
-        {"n_e": COUNT, "n": COUNT, "tau_grid": GRID},
+        {"n_e": COUNT + HUGE, "n": COUNT + HUGE, "tau_grid": GRID},
     ),
     "ground_projection_probability": (
         lambda n_e=3, n=1, tau=0.5: ground_projection_probability(n_e, n, tau),
-        {"n_e": COUNT, "n": COUNT, "tau": REAL},
+        {"n_e": COUNT + HUGE, "n": COUNT + HUGE, "tau": REAL},
     ),
     "hp_deviation": (
         lambda N_atoms=100, n_e=2, n=1, tau_grid=TAU: hp_deviation(N_atoms, n_e, n, tau_grid),
@@ -122,8 +127,10 @@ CONTRACT = {
         lambda n_e=3, tau=0.5: intensity_gain(n_e, CoherentInput(0.1), tau),
         {"n_e": COUNT, "tau": REAL},
     ),
-    "log_binomial": (lambda n=5, k=2: log_binomial(n, k), {"n": COUNT, "k": COUNT + (6,)}),
-    "log_factorial": (lambda k=5: log_factorial(k), {"k": COUNT + (-math.inf,)}),
+    "log_binomial": (
+        lambda n=5, k=2: log_binomial(n, k), {"n": COUNT + HUGE, "k": COUNT + (6,) + HUGE}
+    ),
+    "log_factorial": (lambda k=5: log_factorial(k), {"k": COUNT + (-math.inf,) + HUGE}),
     "mixed_projection_probability": (
         lambda tau_grid=TAU: mixed_projection_probability(
             AtomicMixture(3), CoherentInput(0.1), tau_grid),
@@ -143,7 +150,10 @@ CONTRACT = {
 
 
 def _label(value):
-    return f"grid[..,{value[-1]}]" if isinstance(value, np.ndarray) else repr(value)
+    if isinstance(value, np.ndarray):
+        return f"grid[..,{value[-1]}]"
+    text = repr(value)
+    return text if len(text) < 20 else f"10**{len(text) - 1}"
 
 
 CASES = [

@@ -227,7 +227,8 @@ def _zero_diagonal_block() -> SectorHamiltonian:
     return SectorHamiltonian(h.basis, np.zeros(h.basis.dim), h.off_diagonal, 1.0, 1.0, 1.0)
 
 
-# blocks of dimension 451 to 651, around the dense/twisted cutoff of 512
+# blocks of dimension 451 to 651, above the dense/twisted cutoff of 256;
+# both_paths forces each through both routes
 AROUND_CUTOFF = {
     "detuned": lambda: build_sector(4000, 600, omega=1.3, omega0=0.7, g=0.5),
     "strongly-detuned": lambda: build_sector(10**6, 450, omega=5.0, omega0=0.2, g=0.1),
@@ -351,6 +352,153 @@ class TestTwistedWeights:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert np.all((trace.values >= 0.0) & (trace.values <= 1.0 + 1e-12))
+
+
+# blocks of dimension 200 to 320, on both sides of the cutoff of 256
+NEAR_CUTOFF = {
+    "resonant-dim-207": lambda: build_sector(2 * 10**5, 206),
+    "resonant-dim-301": lambda: build_sector(2 * 10**5, 300),
+    "detuned-dim-281": lambda: build_sector(4000, 280, omega=1.3, omega0=0.7, g=0.5),
+    "E>N-dim-301": lambda: build_sector(300, 400, omega=1.3, omega0=0.7, g=0.5),
+}
+
+
+def _count_dense_calls(monkeypatch):
+    calls, dense = [], exact_model.eigensystem
+    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
+    return calls
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("block", NEAR_CUTOFF)
+    def test_default_route_matches_dense_expm(self, monkeypatch, block):
+        h = NEAR_CUTOFF[block]()
+        calls = _count_dense_calls(monkeypatch)
+        centred = h.dense() - np.mean(h.diagonal) * np.eye(h.basis.dim)
+        step = expm(-1j * centred * (TAU_16[1] - TAU_16[0]) / h.g)  # TAU_16 is uniform
+        row = [np.eye(h.basis.dim)[0]]  # <0| U(t) on the grid
+        for _ in TAU_16[1:]:
+            row.append(row[-1] @ step)
+        row = np.array(row)
+        for i in _indices(h):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, np.abs(row[:, i]) ** 2, rtol=0, atol=1e-11,
+                                       err_msg=f"i={i}")
+        assert bool(calls) == (h.basis.dim <= 256)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("dim,dense", [(256, True), (257, False)])
+    def test_cutoff_is_dim_256(self, monkeypatch, omega, dim, dense):
+        h = build_sector(10**5, dim - 1, omega=omega)
+        calls = _count_dense_calls(monkeypatch)
+        exact_projection_probability(h, h.basis.states[1], TAU_16)
+        assert bool(calls) == dense
+
+
+def reference_pivot_pass(a, b, w, stop, i, x0=True):
+    """exact_model._pivot_pass as it was before it stopped at the last
+    stop_k + 1: every pass runs to j = n - 1, re-slicing on every step."""
+    n = a.size
+    pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
+    first = np.searchsorted(stop, np.arange(n + 1))  # first w_k with stop_k >= j
+    cur = np.zeros((4, w.size))
+    cur[0] = a[0] - w
+    cur[2] = 1.0
+    at_stop = np.full((4, w.size), np.nan)
+    ratio = np.empty(w.size)
+    lead = 2 if x0 else 3  # first row of the ratios x_./x_j that are stepped
+    for j in range(n):
+        lo = first[j]
+        if j == i:  # every state still running, stop_k >= i - 1
+            cur[3, np.searchsorted(stop, i - 1):] = 1.0
+        at_stop[:, lo:first[j + 1]] = cur[:, lo:first[j + 1]]
+        if j == n - 1:
+            break
+        # step the states with stop_k >= j to j + 1; the others stay frozen
+        d, s, f = cur[0, lo:], cur[1, lo:], ratio[lo:]
+        d[d == 0.0] = pivmin
+        np.divide(-b[j], d, out=f)  # x_j / x_{j+1}
+        cur[lead:4 if j >= i else 3, lo:] *= f  # x_0/x_j, and x_i/x_j from j = i
+        s += 1.0
+        s *= f
+        s *= f
+        np.multiply(f, b[j], out=d)
+        d += a[j + 1]
+        d -= w[lo:]
+    return np.array([at_stop, cur])
+
+
+def _assert_same_pass(*args, **kwargs):
+    got = exact_model._pivot_pass(*args, **kwargs)
+    assert got.tobytes() == reference_pivot_pass(*args, **kwargs).tobytes()
+
+
+def _pass_arguments(h, i, w=None):
+    """The arguments of the top-down and the reversed _pivot_pass call that
+    _twisted_weights makes for initial index i."""
+    calls, real = [], exact_model._pivot_pass
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact_model, "_pivot_pass",
+                  lambda *args, **kwargs: calls.append((args, kwargs)) or real(*args, **kwargs))
+        exact_model._twisted_weights(h.diagonal - np.mean(h.diagonal), h.off_diagonal, i, w)
+    assert [kwargs for _, kwargs in calls] == [{}, {"x0": False}]
+    return calls
+
+
+def _sterf(h):
+    return eigvalsh_tridiagonal(h.diagonal - np.mean(h.diagonal), h.off_diagonal,
+                                lapack_driver="sterf")
+
+
+PASS_BLOCKS = {
+    # every twist at site 349 top-down, 350 in the reversed pass
+    "resonant": lambda: build_sector(10**5, 700),
+    # twists from site 137 to 455 top-down
+    "detuned": AROUND_CUTOFF["detuned"],
+    # twists from site 0 to the last site, 450, top-down
+    "strongly-detuned": AROUND_CUTOFF["strongly-detuned"],
+}
+
+
+class TestPivotPass:
+    @pytest.mark.parametrize(
+        "block,i",
+        [("resonant", 0), ("resonant", 200), ("resonant", 350), ("resonant", 600),
+         ("detuned", 0), ("detuned", 300), ("detuned", 456), ("detuned", 600),
+         ("strongly-detuned", 3), ("strongly-detuned", 449)],
+    )
+    def test_twisted_weights_passes_equal_the_full_loop(self, block, i):
+        # i = 350 and 456 are one past the last top-down twist, i = 600 past it
+        for args, kwargs in _pass_arguments(PASS_BLOCKS[block](), i):
+            _assert_same_pass(*args, **kwargs)
+
+    @pytest.mark.parametrize("x0", [True, False])
+    def test_no_state_steps(self, x0):
+        h = PASS_BLOCKS["resonant"]()
+        w = _sterf(h)
+        _assert_same_pass(np.zeros(h.basis.dim), h.off_diagonal, w, np.full(w.size, -1), 0, x0=x0)
+
+    @pytest.mark.parametrize("x0", [True, False])
+    def test_stops_spread_to_the_last_site(self, x0):
+        h = PASS_BLOCKS["detuned"]()
+        a, b, w = h.diagonal - np.mean(h.diagonal), h.off_diagonal, _sterf(h)
+        n = a.size
+        stop = np.sort(np.random.default_rng(14).integers(-1, n, w.size))
+        stop[[0, -1]] = -1, n - 1
+        for i in (0, int(stop[w.size // 2]) + 1, n - 1):
+            _assert_same_pass(a, b, w, stop, i, x0=x0)
+
+    def test_exact_zero_pivot(self):
+        # the exact lambda = 0 of the zero-diagonal block makes the first
+        # pivot of both passes exactly zero
+        h = _zero_diagonal_block()
+        w = _sterf(h)
+        w[np.abs(w) < 1e-9] = 0.0
+        for i in (0, h.basis.dim // 2 + 1):
+            calls = _pass_arguments(h, i, w)
+            for args, kwargs in calls:
+                assert 0.0 in args[2]
+                _assert_same_pass(*args, **kwargs)
 
 
 # resonant blocks: the centred diagonal is exactly zero
