@@ -48,14 +48,12 @@ __all__ = [
 ]
 
 # Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
-# the twisted factorizations. Median whole call, 256-point grid, N = 2e5,
-# one BLAS thread on a 2-vCPU Xeon, twisted against dense: the general
-# route (omega = 1.3) 5.2 against 3.8 ms at dim 151, 7.1 against 5.9 at
-# dim 208, 5.8 against 8.0 at dim 257, 7.2 against 9.6 at dim 301 and 12.2
-# against 14.9 at dim 440; the resonant half-spectrum route already wins at
-# dim 151 (2.7 against 4.0 ms) and 4.6 against 13.9 ms at dim 440. One
-# cutoff near the general route's crossover serves both, and below it the
-# resonant gain is under 2 ms a call.
+# the twisted factorizations. Median call, 256-point grid, N = 2e5, one BLAS
+# thread on a 2-vCPU Xeon, twisted against dense, in ms: general route
+# (omega = 1.3) 5.2/3.8 at dim 151, 7.1/5.9 at 208, 5.8/8.0 at 257, 12.2/14.9
+# at 440; resonant half-spectrum route 2.7/4.0 at 151, 4.6/13.9 at 440. One
+# cutoff at the general crossover serves both; below it the resonant route
+# gains under 2 ms a call.
 _DENSE_MAX_DIM = 256
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
@@ -379,9 +377,8 @@ def exact_projection_probability(
     rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
     blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
     for a strongly detuned block at tau/g = 30) and each lies within 4e-13
-    of a 40-digit eigendecomposition where one was made. The twisted route
-    lies within 1e-13 of dense expm on the blocks of dimension 257 to 512
-    checked (resonant, detuned and E > N). A tau_grid that is
+    of a 40-digit eigendecomposition where one was made; from dim 257 to 512
+    the twisted route lies within 1e-13 of dense expm. A tau_grid that is
     not finite, or where the bound eps * |H_centred| * max|tau| / g exceeds
     _PHASE_TOL (1e-8), raises a ValueError naming it before any solve.
 
@@ -391,8 +388,8 @@ def exact_projection_probability(
     (-1)^i times that at lambda, so the amplitude is a real sum of cosines
     (even i) or sines (odd i), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
     v_0(0) at lambda = 0. If either fails, the block takes the general
-    route; the two agree within 4e-13 on blocks of dim 513 to 3001, and
-    within 1e-13 on the resonant blocks of dim 257 to 512 checked.
+    route; the two agree within 1e-13 on blocks of dim 257 to 512 and 4e-13
+    on blocks of dim 513 to 3001.
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)

@@ -103,9 +103,7 @@ def _twice(**labels) -> tuple[int, ...]:
 
 
 def _too_large(name: str) -> ValueError:
-    """The error for a count whose log-factorial overflows a float (from
-    about 2.56e305, or an int beyond the float range); raised where lgamma
-    or float() overflows, so valid calls pay no check."""
+    """For a count whose lgamma or float() overflowed, so valid calls pay no check."""
     return ValueError(f"{name} must be small enough that the log-factorial stays finite "
                       f"(about 2.56e305 at most)")
 

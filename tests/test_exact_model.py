@@ -244,13 +244,17 @@ def _indices(h):
     return [0, 1, 3, h.basis.dim // 2, h.basis.dim // 2 + 1, h.basis.dim - 1]
 
 
+def _count_dense_calls(monkeypatch):
+    calls, dense = [], exact_model.eigensystem
+    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
+    return calls
+
+
 def both_paths(monkeypatch, h, i, tau, falls_back=False):
     """Probabilities from the dense eigenvectors and from the twisted
     factorizations, each forced through the cutoff; `falls_back` says
     whether the twisted call must end on the dense path."""
-    calls = []
-    dense = exact_model.eigensystem
-    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
+    calls = _count_dense_calls(monkeypatch)
     out = []
     for cutoff in (h.basis.dim, 0):
         monkeypatch.setattr(exact_model, "_DENSE_MAX_DIM", cutoff)
@@ -361,12 +365,6 @@ NEAR_CUTOFF = {
     "detuned-dim-281": lambda: build_sector(4000, 280, omega=1.3, omega0=0.7, g=0.5),
     "E>N-dim-301": lambda: build_sector(300, 400, omega=1.3, omega0=0.7, g=0.5),
 }
-
-
-def _count_dense_calls(monkeypatch):
-    calls, dense = [], exact_model.eigensystem
-    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
-    return calls
 
 
 class TestCutoff:
