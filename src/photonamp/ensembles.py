@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _require_finite, _require_whole
+from .numerics import _FLOAT_RANGE, _require_finite, _require_whole, _too_large
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -80,7 +80,11 @@ class CoherentInput:
             return
         (nmax,) = _require_whole(truncation_nmax=self.truncation_nmax)
         object.__setattr__(self, "truncation_nmax", nmax)
-        if _poisson_tail(nmax, self.intensity) >= POISSON_TAIL_BOUND:
+        try:
+            tail = _poisson_tail(nmax, self.intensity)
+        except OverflowError:  # past the float range
+            raise _too_large("truncation_nmax", f"it {_FLOAT_RANGE}") from None
+        if tail >= POISSON_TAIL_BOUND:
             raise ValueError(
                 f"truncation_nmax={self.truncation_nmax} leaves a Poisson tail "
                 f">= {POISSON_TAIL_BOUND} at intensity {self.intensity}"

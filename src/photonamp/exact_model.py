@@ -18,9 +18,11 @@ which shrinks like O(1/N).
 
 The projection probability needs only the products v[0, k] * v[i, k] of
 two rows of the eigenvector matrix. Blocks of dimension above
-_DENSE_MAX_DIM (256) get them without the eigenvectors: LAPACK's
+_DENSE_MAX_DIM (224) get them without the eigenvectors: LAPACK's
 eigenvalues plus one twisted factorization per eigenvalue, in O(dim)
-memory and O(dim^2) time, each pivot pass ending at its last twist.
+memory and O(dim^2) time, each pivot pass ending at its last twist and the
+top-down one retiring, every 32 sites, eigenvalues whose weight bound has
+fallen below 1e-20.
 Smaller blocks use LAPACK's dense eigenvectors, which are faster there. At
 resonance the spectrum comes in +-lambda pairs, and large blocks whose
 centred diagonal is exactly zero (omega = omega0 = 1) solve only its
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hp_model import ground_projection_probabilities
-from .numerics import _require_finite, _require_whole
+from .numerics import _require_finite, _require_whole, _too_large
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -48,19 +50,22 @@ __all__ = [
 ]
 
 # Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
-# the twisted factorizations. Median call, 256-point grid, N = 2e5, one BLAS
-# thread on a 2-vCPU Xeon, twisted against dense, in ms: general route
-# (omega = 1.3) 5.2/3.8 at dim 151, 7.1/5.9 at 208, 5.8/8.0 at 257, 12.2/14.9
-# at 440; resonant half-spectrum route 2.7/4.0 at 151, 4.6/13.9 at 440. One
-# cutoff at the general crossover serves both; below it the resonant route
-# gains under 2 ms a call.
-_DENSE_MAX_DIM = 256
+# the twisted factorizations. Median of 41 interleaved calls, 256-point grid,
+# N = 2e5, one BLAS thread on a 2-vCPU Xeon, twisted against dense, in ms:
+# general route (omega = 1.3) 4.8/3.9 at dim 151, 4.2/4.2 at 200, 4.1/4.3 at
+# 216, 4.3/4.5 at 224, 4.5/4.8 at 232, 5.0/5.6 at 257, 6.2/7.4 at 301, where
+# the twisted route won 21, 33, 38, 38 and 40 of 41 calls from dim 200 up;
+# resonant half-spectrum route 1.4/2.2 at 151, 3.7/13.9 at 440. One cutoff at
+# the general crossover serves both; below it the resonant route gains under
+# 2 ms a call.
+_DENSE_MAX_DIM = 224
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
 _BLOCK = 1 << 16
-# A twisted-factorization weight is at most |x_0/x_r|; eigenvalues where
-# that is below this are dropped, which moves an amplitude by less than
-# dim * 1e-20.
+# A twisted-factorization weight x_0 x_i / |x|^2 is at most |x_0/x_j| at any
+# site j, since |x| >= |x_j|; eigenvalues where that is below this, at a
+# retirement site of the top-down pass or at the twist, are dropped, which
+# moves an amplitude by less than dim * 1e-20.
 _NEGLIGIBLE = 1e-20
 # Allowed |sum_k v[0, k]^2 - 1| of the twisted eigenvectors; the tested
 # build_sector blocks, dim 451 to 10^4, stay below 2e-14.
@@ -165,10 +170,16 @@ def build_sector(
     _require_finite(omega=omega, omega0=omega0)  # g is checked by SectorHamiltonian
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
     n_e = np.arange(basis.dim, dtype=float)
-    n = E - n_e
-    diagonal = omega * n + omega0 * (n_e - N_atoms / 2.0)
     k = n_e[:-1]
-    off_diagonal = g * np.sqrt(n[:-1] * (N_atoms - k) * (k + 1.0) / N_atoms)
+    try:  # a count past the float range; dim = min(N, E) + 1 is small, so the larger one
+        N, n = float(N_atoms), float(E) - n_e
+        with np.errstate(over="raise"):
+            coupling = np.sqrt(n[:-1] * (N - k) * (k + 1.0) / N)
+    except (OverflowError, FloatingPointError):
+        raise _too_large("N_atoms" if N_atoms > E else "E",
+                         "the sector's couplings stay finite") from None
+    diagonal = omega * n + omega0 * (n_e - N / 2.0)
+    off_diagonal = g * coupling
     return SectorHamiltonian(
         basis=basis,
         diagonal=diagonal,
@@ -218,53 +229,82 @@ def _deepest_sites(w: np.ndarray, a: np.ndarray, reach: np.ndarray) -> np.ndarra
 
 
 def _pivot_pass(
-    a: np.ndarray, b: np.ndarray, w: np.ndarray, stop: np.ndarray, i: int, x0: bool = True
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, stop: np.ndarray, i: int, retire: bool = True
 ):
     """Top-down LDL^T pivots of the tridiagonal T - w_k (diagonal a,
     off-diagonal b) for every w_k at once, each from index 0 to stop_k + 1,
     with stop sorted ascending in -1..n-1. Returns, shape (2, 4, w.size),
     (d_j, sum_{k<j} (x_k/x_j)^2, x_0/x_j, x_i/x_j) at j = stop_k (NaN for
     stop_k = -1) and at j = stop_k + 1 (j = n - 1 for stop_k = n - 1);
-    x_i/x_j is 0 before j = i, and x_0/x_j stays 1 when x0 is False. A
-    zero pivot is replaced by one rounding unit of the matrix norm, a
-    backward-stable change of one element. The loop ends at the last
-    stop_k + 1, since no state steps past it.
+    x_i/x_j is 0 before j = i. The loop ends at the last stop_k + 1, since
+    no state steps past it.
+
+    With retire, every 32 sites the states with |x_0/x_j| < _NEGLIGIBLE
+    stop early and hold their values at that j in both outputs: since
+    |x| >= |x_j|, the weight x_0 x_i / |x|^2 is at most |x_0/x_j| at every
+    j. A stable partition moves them left of the running columns, which
+    stay sorted by stop_k. Without retire (the reversed pass, whose x_0/x_j
+    nobody reads) every state runs to its stop.
+
+    The loop runs under np.errstate(divide="raise", invalid="raise"). A
+    zero pivot, the divide's FloatingPointError, is replaced by one
+    rounding unit of the matrix norm, a backward-stable change of one
+    element; any other invalid operation (inf * 0 or inf - inf, after an
+    overflow) leaves the pass as a FloatingPointError.
     """
     n = a.size
     pivmin = np.finfo(float).eps * (np.abs(a).max() + np.abs(b).max())
-    first = np.searchsorted(stop, np.arange(n + 1)).tolist()  # first w_k with stop_k >= j
     last = min(int(stop.max(initial=-1)) + 1, n - 1)
-    a_next, b_list = a[1:].tolist(), b.tolist()
+    first = np.searchsorted(stop, np.arange(last + 2)).tolist()  # first column with stop_k >= j
+    a_next = a[1:].tolist() if a.any() else None  # a zero diagonal adds nothing
+    b_list = b.tolist()
+    cols = np.arange(w.size)  # the state held in each column
+    w_cols = w
     cur = np.zeros((4, w.size))
     cur[0] = a[0] - w
     cur[2] = 1.0
     at_stop = np.full((4, w.size), np.nan)
     ratio = np.empty(w.size)
-    lead = 2 if x0 else 3  # first row of the ratios x_./x_j that are stepped
     lo = -1
-    for j in range(last + 1):
-        if j == i:  # every state still running, stop_k >= i - 1
-            cur[3, np.searchsorted(stop, i - 1):] = 1.0
-        if first[j] < first[j + 1]:
-            at_stop[:, first[j]:first[j + 1]] = cur[:, first[j]:first[j + 1]]
-        if j == last:
-            break
-        # step the states with stop_k >= j to j + 1; the others stay frozen
-        if first[j] != lo or j == i:
-            lo = first[j]
-            d, s, f, w_lo = cur[0, lo:], cur[1, lo:], ratio[lo:], w[lo:]
-            x = cur[lead:4 if j >= i else 3, lo:]  # x_0/x_j, and x_i/x_j from j = i
-        if not d.all():
-            d[d == 0.0] = pivmin
-        np.divide(-b_list[j], d, out=f)  # x_j / x_{j+1}
-        x *= f
-        s += 1.0
-        s *= f
-        s *= f
-        np.multiply(f, b_list[j], out=d)
-        d += a_next[j]
-        d -= w_lo
-    return np.array([at_stop, cur])
+    with np.errstate(divide="raise", invalid="raise"):
+        for j in range(last + 1):
+            if j == i:  # every state still running, stop_k >= i - 1
+                cur[3, first[i - 1] if i else 0:] = 1.0
+            if retire and j % 32 == 0:
+                run = first[j]
+                gone = np.abs(cur[2, run:]) < _NEGLIGIBLE
+                if gone.any():  # move them left of the running states, in order
+                    order = run + np.argsort(~gone, kind="stable")
+                    cols[run:], cur[:, run:] = cols[order], cur[:, order]
+                    live = run + int(np.count_nonzero(gone))  # first running column
+                    at_stop[:, run:live] = cur[:, run:live]
+                    w_cols = w[cols]  # first[j] moves right, so the views are re-sliced
+                    sites = np.arange(j, last + 2)
+                    first[j:] = (live + np.searchsorted(stop[cols[live:]], sites)).tolist()
+            if first[j] < first[j + 1]:
+                at_stop[:, first[j]:first[j + 1]] = cur[:, first[j]:first[j + 1]]
+            if j == last:
+                break
+            # step the states with stop_k >= j to j + 1; the others stay frozen
+            if first[j] != lo or j == i:
+                lo = first[j]
+                d, s, f, w_lo = cur[0, lo:], cur[1, lo:], ratio[lo:], w_cols[lo:]
+                x = cur[1:4 if j >= i else 3, lo:]  # s, x_0/x_j, and x_i/x_j from j = i
+            try:
+                np.divide(-b_list[j], d, out=f)  # x_j / x_{j+1}
+            except FloatingPointError:  # a zero pivot: one rounding unit of the norm instead
+                d[d == 0.0] = pivmin
+                np.divide(-b_list[j], d, out=f)
+            s += 1.0
+            x *= f
+            s *= f
+            np.multiply(f, b_list[j], out=d)
+            if a_next is not None:
+                d += a_next[j]
+            d -= w_lo
+    out = np.empty((2, 4, w.size))
+    out[..., cols] = at_stop, cur
+    return out
 
 
 def _twisted_weights(
@@ -283,8 +323,10 @@ def _twisted_weights(
     The bottom-up pass is the top-down `_pivot_pass` of the reversed block.
     Each pass carries x_0/x_j, x_i/x_j and the partial sum of (x_k/x_j)^2,
     so the weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the
-    squared first component of Golub & Welsch (1969). The twist is the
-    deepest point of the eigenvalue's classical region,
+    squared first component of Golub & Welsch (1969). The top-down pass
+    retires eigenvalues whose bound |x_0/x_j| on the weight falls below
+    _NEGLIGIBLE; a floating-point fault in either pass returns None. The
+    twist is the deepest point of the eigenvalue's classical region,
     argmin_j |w - a_j| - (b_{j-1} + b_j), or the next index where that has
     the smaller twist element gamma = d_r + p_r - (a_r - w), that is the
     larger |x_r|. The eigenvalues come back sorted by their twist, so each
@@ -299,12 +341,15 @@ def _twisted_weights(
     r = _deepest_sites(w, a, reach)
     order = np.argsort(r, kind="stable")
     w, r = w[order], r[order]
-    top = _pivot_pass(a, b, w, r, i)  # at r and at r + 1
-    # |weight| <= |x_0/x_r|: drop those below _NEGLIGIBLE at either twist
-    keep = np.abs(top[:, 2]).max(axis=0) >= _NEGLIGIBLE
-    w, r, top = w[keep], r[keep], top[..., keep]
-    # the reversed block's index n - 2 - r is r + 1, and n - 1 - r is r
-    bot = _pivot_pass(a[::-1], b[::-1], w[::-1], n - 2 - r[::-1], n - 1 - i, x0=False)
+    try:
+        top = _pivot_pass(a, b, w, r, i)  # at r and at r + 1
+        # |weight| <= |x_0/x_j|: drop those retired or below _NEGLIGIBLE at either twist
+        keep = np.abs(top[:, 2]).max(axis=0) >= _NEGLIGIBLE
+        w, r, top = w[keep], r[keep], top[..., keep]
+        # the reversed block's index n - 2 - r is r + 1, and n - 1 - r is r
+        bot = _pivot_pass(a[::-1], b[::-1], w[::-1], n - 2 - r[::-1], n - 1 - i, retire=False)
+    except FloatingPointError:  # an overflow met a zero or another overflow
+        return w, None
     bot = bot[::-1, :, ::-1]
     twist = r + np.arange(2)[:, None]
     (d, s, x0, xi), (p, t, _, yi) = top.swapaxes(0, 1), bot.swapaxes(0, 1)
@@ -367,7 +412,7 @@ def exact_projection_probability(
     The target is the all-atoms-ground state carrying every quantum as a
     photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau/g) over
     the eigenpairs of the block centred on its mean diagonal. Blocks of
-    dimension up to _DENSE_MAX_DIM (256) take the weights from `eigensystem`;
+    dimension up to _DENSE_MAX_DIM (224) take the weights from `eigensystem`;
     larger ones from eigenvalues and twisted factorizations
     (`_twisted_weights`), without the dim x dim eigenvector matrix, unless
     those fail their completeness check (only hand-built blocks with a zero
@@ -377,7 +422,7 @@ def exact_projection_probability(
     rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
     blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
     for a strongly detuned block at tau/g = 30) and each lies within 4e-13
-    of a 40-digit eigendecomposition where one was made; from dim 257 to 512
+    of a 40-digit eigendecomposition where one was made; from dim 225 to 512
     the twisted route lies within 1e-13 of dense expm. A tau_grid that is
     not finite, or where the bound eps * |H_centred| * max|tau| / g exceeds
     _PHASE_TOL (1e-8), raises a ValueError naming it before any solve.
@@ -388,7 +433,7 @@ def exact_projection_probability(
     (-1)^i times that at lambda, so the amplitude is a real sum of cosines
     (even i) or sines (odd i), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
     v_0(0) at lambda = 0. If either fails, the block takes the general
-    route; the two agree within 1e-13 on blocks of dim 257 to 512 and 4e-13
+    route; the two agree within 1e-13 on blocks of dim 225 to 512 and 4e-13
     on blocks of dim 513 to 3001.
     """
     n_e0, n0 = initial
@@ -454,7 +499,7 @@ def hp_deviation(
     so their deviation sits at the floating-point floor.
     """
     N_atoms, n_e, n = _require_whole(N_atoms=N_atoms, n_e=n_e, n=n)
+    approx = ground_projection_probabilities(n_e, n, tau_grid)  # names a huge n_e or n
     h = build_sector(N_atoms, n_e + n, omega=1.0, omega0=1.0, g=1.0)
     exact = exact_projection_probability(h, (n_e, n), tau_grid).values
-    approx = ground_projection_probabilities(n_e, n, tau_grid)
     return float(np.max(np.abs(exact - approx)))

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _d_column, _require_finite, _require_whole, _too_large, log_binomial
+from .numerics import (_FLOAT_RANGE, _d_column, _require_finite, _require_whole, _too_large,
+                       log_binomial)
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -127,17 +128,21 @@ def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> Amplitude
     kernel into the mode-hopping propagator (verified against a dense
     matrix exponential of the hopping generator in the tests).
     """
-    total = state.total_quanta
-    if total > params.validity_ratio * params.N_atoms:
+    total, tau = state.total_quanta, params.tau
+    try:
+        crowded = total > params.validity_ratio * params.N_atoms
+        phase = float(tau) * (
+            params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0
+        )
+    except OverflowError:  # a count past the float range
+        name = "N_atoms" if params.N_atoms > total else "n_e + n"
+        raise _too_large(name, f"it {_FLOAT_RANGE}") from None
+    if crowded:
         warnings.warn(
             f"bosonized model used with n_e + n = {total} quanta for "
             f"N_atoms = {params.N_atoms}; results carry O(quanta/N) error",
             stacklevel=2,
         )
-    tau = params.tau
-    phase = float(tau) * (
-        params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0
-    )
     if not math.isfinite(phase):
         raise ValueError(
             f"tau={tau!r} overflows the global phase tau*(omega*total - omega0*N_atoms/2)"

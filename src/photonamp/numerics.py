@@ -102,10 +102,16 @@ def _twice(**labels) -> tuple[int, ...]:
                  for x in labels.values())
 
 
-def _too_large(name: str) -> ValueError:
-    """For a count whose lgamma or float() overflowed, so valid calls pay no check."""
-    return ValueError(f"{name} must be small enough that the log-factorial stays finite "
-                      f"(about 2.56e305 at most)")
+# the limit of a count that overflows as a float, rather than as a log-factorial
+_FLOAT_RANGE = "converts to a float (about 1.8e308 at most)"
+
+
+def _too_large(
+    name: str, limit: str = "the log-factorial stays finite (about 2.56e305 at most)"
+) -> ValueError:
+    """For a count that overflowed where it was used (lgamma, float() or
+    float arithmetic), so valid calls pay no check."""
+    return ValueError(f"{name} must be small enough that {limit}")
 
 
 def log_factorial(k: int) -> float:
@@ -252,7 +258,11 @@ def wigner_small_d(
             f"rotation indices have mismatched parity: j - m and j - m' must be "
             f"integers (got 2j={tj}, 2m'={tmp}, 2m={tm})"
         )
-    return float(_d_column(tj, tm, beta)[(tj + tmp) // 2])
+    try:
+        column = _d_column(tj, tm, beta)
+    except OverflowError:  # 2j past the float range
+        raise _too_large("j", f"2j {_FLOAT_RANGE}") from None
+    return float(column[(tj + tmp) // 2])
 
 
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
@@ -262,4 +272,7 @@ def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
     if tj < 0:
         raise ValueError(f"j must be non-negative, got {j!r}")
     _require_finite(beta=beta)
-    return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])
+    try:
+        return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])
+    except OverflowError:  # 2j past the float range
+        raise _too_large("j", f"2j {_FLOAT_RANGE}") from None

@@ -1,6 +1,7 @@
 """The argument contract of every public entry point: a count must be a
 non-negative whole number (N_atoms at least 1) whose log-factorial, where
-one is taken, is a finite float; a real scalar or a tau grid must be
+one is taken, and whose float arithmetic, where it enters any, stay
+finite; a real scalar or a tau grid must be
 finite; and a call that breaks this raises a ValueError whose message
 starts with the argument's name, never an OverflowError or a silent
 value."""
@@ -39,7 +40,8 @@ from photonamp import (
 
 TAU = np.linspace(0.0, math.pi, 64)
 COUNT = (-1, 2.5, math.nan, math.inf)
-HUGE = (10**400, 1e308)  # whole counts whose log-factorial overflows a float
+HUGE = (10**400, 1e308)  # whole counts past a float, or past a finite log-factorial
+PAST_FLOAT = (10**400,)  # where 1e308 is still a valid count
 REAL = (math.nan, math.inf, -math.inf)
 GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
 LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
@@ -59,7 +61,7 @@ CONTRACT = {
     "AtomicMixture": (lambda n_e_max=3: AtomicMixture(n_e_max), {"n_e_max": COUNT}),
     "CoherentInput": (
         lambda intensity=0.1, truncation_nmax=30: CoherentInput(intensity, truncation_nmax),
-        {"intensity": REAL, "truncation_nmax": COUNT},
+        {"intensity": REAL, "truncation_nmax": COUNT + PAST_FLOAT},
     ),
     "HalfInteger": (
         lambda x=1.5, twice_value=3: (HalfInteger.of(x), HalfInteger(twice_value)),
@@ -85,7 +87,7 @@ CONTRACT = {
     "build_sector": (
         lambda N_atoms=10, E=3, omega=1.0, omega0=1.0, g=1.0:
         build_sector(N_atoms, E, omega, omega0, g),
-        {"N_atoms": COUNT + (0,), "E": COUNT, "omega": REAL, "omega0": REAL,
+        {"N_atoms": COUNT + (0,) + HUGE, "E": COUNT + HUGE, "omega": REAL, "omega0": REAL,
          "g": REAL + (0.0, -1.0)},
     ),
     "coherent_projection_probability": (
@@ -100,8 +102,9 @@ CONTRACT = {
     ),
     # through the records it takes
     "evolve_fock": (
-        lambda n_e=2, n=1, tau=0.3: evolve_fock(TwoModeFockState(n_e, n), HpEvolutionParams(tau)),
-        {"n_e": COUNT, "n": COUNT, "tau": REAL},
+        lambda n_e=2, n=1, tau=0.3, N_atoms=10**6: evolve_fock(
+            TwoModeFockState(n_e, n), HpEvolutionParams(tau, N_atoms=N_atoms)),
+        {"n_e": COUNT, "n": COUNT, "tau": REAL, "N_atoms": PAST_FLOAT},
     ),
     "exact_projection_probability": (
         lambda n_e=2, n=1, tau_grid=TAU: exact_projection_probability(
@@ -120,7 +123,8 @@ CONTRACT = {
     ),
     "hp_deviation": (
         lambda N_atoms=100, n_e=2, n=1, tau_grid=TAU: hp_deviation(N_atoms, n_e, n, tau_grid),
-        {"N_atoms": COUNT + (0,), "n_e": COUNT, "n": COUNT, "tau_grid": GRID},
+        {"N_atoms": COUNT + (0,) + HUGE, "n_e": COUNT + HUGE, "n": COUNT + HUGE,
+         "tau_grid": GRID},
     ),
     # the pure form's count is n_e; the mixture checks its own n_e_max
     "intensity_gain": (
@@ -141,10 +145,13 @@ CONTRACT = {
         lambda n_e=3, n=1, epsilon=0.01: threshold_time(n_e, n, epsilon),
         {"n_e": COUNT, "n": COUNT, "epsilon": REAL},
     ),
-    "wigner_d_matrix": (lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta), {"j": LABEL, "beta": REAL}),
+    "wigner_d_matrix": (
+        lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta), {"j": LABEL + HUGE, "beta": REAL}
+    ),
+    # integer labels, so that j = 10**400 passes the parity check
     "wigner_small_d": (
-        lambda j=1.5, m_prime=0.5, m=-0.5, beta=0.3: wigner_small_d(j, m_prime, m, beta),
-        {"j": LABEL, "m_prime": INDEX, "m": INDEX, "beta": REAL},
+        lambda j=2, m_prime=1, m=0, beta=0.3: wigner_small_d(j, m_prime, m, beta),
+        {"j": LABEL + HUGE, "m_prime": INDEX, "m": INDEX, "beta": REAL},
     ),
 }
 

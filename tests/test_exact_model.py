@@ -227,7 +227,7 @@ def _zero_diagonal_block() -> SectorHamiltonian:
     return SectorHamiltonian(h.basis, np.zeros(h.basis.dim), h.off_diagonal, 1.0, 1.0, 1.0)
 
 
-# blocks of dimension 451 to 651, above the dense/twisted cutoff of 256;
+# blocks of dimension 451 to 651, above the dense/twisted cutoff of 224;
 # both_paths forces each through both routes
 AROUND_CUTOFF = {
     "detuned": lambda: build_sector(4000, 600, omega=1.3, omega0=0.7, g=0.5),
@@ -358,9 +358,11 @@ class TestTwistedWeights:
         assert np.all((trace.values >= 0.0) & (trace.values <= 1.0 + 1e-12))
 
 
-# blocks of dimension 200 to 320, on both sides of the cutoff of 256
+# blocks of dimension 200 to 320, on both sides of the cutoff of 224
 NEAR_CUTOFF = {
     "resonant-dim-207": lambda: build_sector(2 * 10**5, 206),
+    "resonant-dim-225": lambda: build_sector(2 * 10**5, 224),
+    "detuned-dim-241": lambda: build_sector(4000, 240, omega=1.3, omega0=0.7, g=0.5),
     "resonant-dim-301": lambda: build_sector(2 * 10**5, 300),
     "detuned-dim-281": lambda: build_sector(4000, 280, omega=1.3, omega0=0.7, g=0.5),
     "E>N-dim-301": lambda: build_sector(300, 400, omega=1.3, omega0=0.7, g=0.5),
@@ -382,11 +384,11 @@ class TestCutoff:
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, np.abs(row[:, i]) ** 2, rtol=0, atol=1e-11,
                                        err_msg=f"i={i}")
-        assert bool(calls) == (h.basis.dim <= 256)
+        assert bool(calls) == (h.basis.dim <= 224)
 
     @pytest.mark.parametrize("omega", [1.0, 1.3], ids=["resonant", "detuned"])
-    @pytest.mark.parametrize("dim,dense", [(256, True), (257, False)])
-    def test_cutoff_is_dim_256(self, monkeypatch, omega, dim, dense):
+    @pytest.mark.parametrize("dim,dense", [(224, True), (225, False)])
+    def test_cutoff_is_dim_224(self, monkeypatch, omega, dim, dense):
         h = build_sector(10**5, dim - 1, omega=omega)
         calls = _count_dense_calls(monkeypatch)
         exact_projection_probability(h, h.basis.states[1], TAU_16)
@@ -426,9 +428,32 @@ def reference_pivot_pass(a, b, w, stop, i, x0=True):
     return np.array([at_stop, cur])
 
 
-def _assert_same_pass(*args, **kwargs):
-    got = exact_model._pivot_pass(*args, **kwargs)
-    assert got.tobytes() == reference_pivot_pass(*args, **kwargs).tobytes()
+def _retired(got):
+    """States a retiring pass froze: both outputs equal, |x_0/x_j| negligible."""
+    return (got[0] == got[1]).all(axis=0) & (np.abs(got[1, 2]) < exact_model._NEGLIGIBLE)
+
+
+def _assert_same_pass(a, b, w, stop, i, retire=True):
+    """_pivot_pass against the reference loop, byte for byte: the reversed
+    pass (retire False) on rows 0, 1 and 3, since its x_0/x_j row is
+    stepped but never read; the top-down pass on every row of each state
+    still running at its stop, and each retired state on its values at the
+    first multiple of 32 where the reference's |x_0/x_j| is negligible."""
+    got = exact_model._pivot_pass(a, b, w, stop, i, retire=retire)
+    want = reference_pivot_pass(a, b, w, stop, i, x0=retire)
+    if not retire:
+        assert got[:, [0, 1, 3]].tobytes() == want[:, [0, 1, 3]].tobytes()
+        return np.zeros(w.size, dtype=bool)
+    retired = _retired(got)
+    assert got[..., ~retired].tobytes() == want[..., ~retired].tobytes()
+    frozen = np.zeros(w.size, dtype=bool)
+    for site in range(32, int(stop.max(initial=-1)) + 1, 32):
+        at_site = reference_pivot_pass(a, b, w, np.full(w.size, site), i)[0]
+        now = ~frozen & (stop >= site) & (np.abs(at_site[2]) < exact_model._NEGLIGIBLE)
+        assert got[0][:, now].tobytes() == at_site[:, now].tobytes()
+        frozen |= now
+    np.testing.assert_array_equal(retired, frozen)
+    return retired
 
 
 def _pass_arguments(h, i, w=None):
@@ -439,13 +464,19 @@ def _pass_arguments(h, i, w=None):
         m.setattr(exact_model, "_pivot_pass",
                   lambda *args, **kwargs: calls.append((args, kwargs)) or real(*args, **kwargs))
         exact_model._twisted_weights(h.diagonal - np.mean(h.diagonal), h.off_diagonal, i, w)
-    assert [kwargs for _, kwargs in calls] == [{}, {"x0": False}]
+    assert [kwargs for _, kwargs in calls] == [{}, {"retire": False}]
     return calls
 
 
 def _sterf(h):
     return eigvalsh_tridiagonal(h.diagonal - np.mean(h.diagonal), h.off_diagonal,
                                 lapack_driver="sterf")
+
+
+def _exact_zero_eigenvalue(h):
+    w = _sterf(h)
+    w[np.abs(w) < 1e-9] = 0.0
+    return w
 
 
 PASS_BLOCKS = {
@@ -455,7 +486,27 @@ PASS_BLOCKS = {
     "detuned": AROUND_CUTOFF["detuned"],
     # twists from site 0 to the last site, 450, top-down
     "strongly-detuned": AROUND_CUTOFF["strongly-detuned"],
+    "E>N": AROUND_CUTOFF["E>N"],
+    # the exact lambda = 0 makes the first pivot of both passes exactly zero
+    "zero-pivot": _zero_diagonal_block,
 }
+
+
+class _DivideSpy:
+    """numpy, counting the divides that raise FloatingPointError."""
+
+    def __init__(self):
+        self.raised = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        try:
+            return np.divide(*args, **kwargs)
+        except FloatingPointError:
+            self.raised += 1
+            raise
 
 
 class TestPivotPass:
@@ -470,33 +521,76 @@ class TestPivotPass:
         for args, kwargs in _pass_arguments(PASS_BLOCKS[block](), i):
             _assert_same_pass(*args, **kwargs)
 
-    @pytest.mark.parametrize("x0", [True, False])
-    def test_no_state_steps(self, x0):
+    @pytest.mark.parametrize("retire", [True, False])
+    def test_no_state_steps(self, retire):
         h = PASS_BLOCKS["resonant"]()
         w = _sterf(h)
-        _assert_same_pass(np.zeros(h.basis.dim), h.off_diagonal, w, np.full(w.size, -1), 0, x0=x0)
+        _assert_same_pass(np.zeros(h.basis.dim), h.off_diagonal, w, np.full(w.size, -1), 0,
+                          retire=retire)
 
-    @pytest.mark.parametrize("x0", [True, False])
-    def test_stops_spread_to_the_last_site(self, x0):
+    @pytest.mark.parametrize("retire", [True, False])
+    def test_stops_spread_to_the_last_site(self, retire):
         h = PASS_BLOCKS["detuned"]()
         a, b, w = h.diagonal - np.mean(h.diagonal), h.off_diagonal, _sterf(h)
         n = a.size
         stop = np.sort(np.random.default_rng(14).integers(-1, n, w.size))
         stop[[0, -1]] = -1, n - 1
         for i in (0, int(stop[w.size // 2]) + 1, n - 1):
-            _assert_same_pass(a, b, w, stop, i, x0=x0)
+            retired = _assert_same_pass(a, b, w, stop, i, retire=retire)
+            assert retired.any() == retire
 
-    def test_exact_zero_pivot(self):
-        # the exact lambda = 0 of the zero-diagonal block makes the first
-        # pivot of both passes exactly zero
-        h = _zero_diagonal_block()
-        w = _sterf(h)
-        w[np.abs(w) < 1e-9] = 0.0
+    def test_exact_zero_pivot(self, monkeypatch):
+        # each pass finds its zero first pivot by the divide's FloatingPointError
+        h = PASS_BLOCKS["zero-pivot"]()
+        w = _exact_zero_eigenvalue(h)
+        spy = _DivideSpy()
         for i in (0, h.basis.dim // 2 + 1):
-            calls = _pass_arguments(h, i, w)
-            for args, kwargs in calls:
+            for args, kwargs in _pass_arguments(h, i, w):
                 assert 0.0 in args[2]
+                raised = spy.raised
+                with monkeypatch.context() as m:
+                    m.setattr(exact_model, "np", spy)
+                    exact_model._pivot_pass(*args, **kwargs)
+                assert spy.raised > raised
                 _assert_same_pass(*args, **kwargs)
+
+    @pytest.mark.parametrize("block", PASS_BLOCKS)
+    def test_weights_equal_the_full_loop_on_states_both_keep(self, monkeypatch, block):
+        h = PASS_BLOCKS[block]()
+        a, b = h.diagonal - np.mean(h.diagonal), h.off_diagonal
+        w = _exact_zero_eigenvalue(h) if block == "zero-pivot" else None
+        for i in (0, 1, h.basis.dim // 3, h.basis.dim // 2 + 1, h.basis.dim - 1):
+            kept, weights = exact_model._twisted_weights(a, b, i, w)
+            with monkeypatch.context() as m:
+                m.setattr(exact_model, "_pivot_pass", lambda *args, retire=True:
+                          reference_pivot_pass(*args, x0=retire))
+                parent_kept, parent_weights = exact_model._twisted_weights(a, b, i, w)
+            both = np.isin(parent_kept, kept)
+            assert parent_kept[both].tobytes() == kept.tobytes()
+            assert parent_weights[both].tobytes() == weights.tobytes()
+            assert np.all(np.abs(parent_weights[~both]) < 1e-20)
+
+    def test_resonant_e3000_retires_at_least_the_twist_drops(self):
+        # the positive half of the spectrum, as exact_projection_probability
+        # twists it: 1,500 states, every twist at site 1500
+        h = build_sector(10**6, 3000)
+        w = exact_model._positive_half(h.off_diagonal, 1000)[0]
+        (args, _), _ = _pass_arguments(h, 1000, w)
+        got, want = exact_model._pivot_pass(*args), reference_pivot_pass(*args)
+        retired = _retired(got)
+        assert got[..., ~retired].tobytes() == want[..., ~retired].tobytes()
+        dropped = np.abs(want[:, 2]).max(axis=0) < exact_model._NEGLIGIBLE
+        assert retired.sum() >= dropped.sum() > 0
+
+    def test_floating_point_fault_falls_back_to_dense(self, monkeypatch):
+        def fault(*args, **kwargs):
+            raise FloatingPointError("invalid value encountered in multiply")
+
+        h = AROUND_CUTOFF["detuned"]()
+        dense, _ = both_paths(monkeypatch, h, 1, TAU_16)
+        monkeypatch.setattr(exact_model, "_pivot_pass", fault)
+        _, fallen_back = both_paths(monkeypatch, h, 1, TAU_16, falls_back=True)
+        assert fallen_back.tobytes() == dense.tobytes()
 
 
 # resonant blocks: the centred diagonal is exactly zero
