@@ -64,8 +64,9 @@ _DENSE_MAX_DIM = 224
 _BLOCK = 1 << 16
 # A twisted-factorization weight x_0 x_i / |x|^2 is at most |x_0/x_j| at any
 # site j, since |x| >= |x_j|; eigenvalues where that is below this, at a
-# retirement site of the top-down pass or at the twist, are dropped, which
-# moves an amplitude by less than dim * 1e-20.
+# retirement site of the top-down pass or at the twist, are dropped. Their
+# weights move an amplitude by less than dim * 1e-20, but the phase sum over
+# fewer terms also rounds differently, by a few units in the last place.
 _NEGLIGIBLE = 1e-20
 # Allowed |sum_k v[0, k]^2 - 1| of the twisted eigenvectors; the tested
 # build_sector blocks, dim 451 to 10^4, stay below 2e-14.
