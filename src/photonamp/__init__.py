@@ -1,71 +1,20 @@
 """Collective atom-photon beam-splitter dynamics: detection probabilities,
 an exact finite-N sector solver, intensity gain, and photon-number
-discrimination from peak timing."""
+discrimination from peak timing.
 
-from .ensembles import (
-    AtomicMixture,
-    CoherentInput,
-    DiscriminationReport,
-    coherent_projection_probability,
-    discriminate_photon_number,
-    fwhm,
-    intensity_gain,
-    mixed_projection_probability,
-    perception_time,
-    threshold_time,
-)
-from .exact_model import (
-    SectorBasis,
-    SectorHamiltonian,
-    build_sector,
-    exact_projection_probability,
-    hp_deviation,
-)
-from .hp_model import (
-    AmplitudeVector,
-    HpEvolutionParams,
-    TwoModeFockState,
-    evolve_fock,
-    ground_projection_probabilities,
-    ground_projection_probability,
-)
-from .numerics import (
-    HalfInteger,
-    log_binomial,
-    log_factorial,
-    wigner_d_matrix,
-    wigner_small_d,
-)
-from .traces import ProbabilityTrace
+Each module's __all__ declares its public names; the package re-exports
+them all."""
+
+from . import ensembles, exact_model, hp_model, numerics, traces
+from .ensembles import *  # noqa: F401,F403
+from .exact_model import *  # noqa: F401,F403
+from .hp_model import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .traces import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeVector",
-    "AtomicMixture",
-    "CoherentInput",
-    "DiscriminationReport",
-    "HalfInteger",
-    "HpEvolutionParams",
-    "ProbabilityTrace",
-    "SectorBasis",
-    "SectorHamiltonian",
-    "TwoModeFockState",
-    "build_sector",
-    "coherent_projection_probability",
-    "discriminate_photon_number",
-    "evolve_fock",
-    "exact_projection_probability",
-    "fwhm",
-    "ground_projection_probabilities",
-    "ground_projection_probability",
-    "hp_deviation",
-    "intensity_gain",
-    "log_binomial",
-    "log_factorial",
-    "mixed_projection_probability",
-    "perception_time",
-    "threshold_time",
-    "wigner_d_matrix",
-    "wigner_small_d",
-]
+__all__ = sorted(
+    name for module in (ensembles, exact_model, hp_model, numerics, traces)
+    for name in module.__all__
+)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _FLOAT_RANGE, _require_finite, _require_whole, _too_large
+from .numerics import _require_finite, _require_whole, _too_large
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -79,12 +79,11 @@ class CoherentInput:
             object.__setattr__(self, "truncation_nmax", _auto_truncation(self.intensity))
             return
         (nmax,) = _require_whole(truncation_nmax=self.truncation_nmax)
+        if nmax >= np.iinfo(np.intp).max:
+            raise _too_large("truncation_nmax",
+                             f"its weights fit in one array (below {np.iinfo(np.intp).max})")
         object.__setattr__(self, "truncation_nmax", nmax)
-        try:
-            tail = _poisson_tail(nmax, self.intensity)
-        except OverflowError:  # past the float range
-            raise _too_large("truncation_nmax", f"it {_FLOAT_RANGE}") from None
-        if tail >= POISSON_TAIL_BOUND:
+        if _poisson_tail(nmax, self.intensity) >= POISSON_TAIL_BOUND:
             raise ValueError(
                 f"truncation_nmax={self.truncation_nmax} leaves a Poisson tail "
                 f">= {POISSON_TAIL_BOUND} at intensity {self.intensity}"

@@ -6,8 +6,10 @@ The full Hamiltonian
 
 conserves a'a + S_z + N/2, so each total-excitation value E spans a block
 of dimension min(N, E) + 1 with basis |n_e; n = E - n_e>. Within a block
-the matrix is real symmetric tridiagonal: the diagonal holds the bare
-energies and the raising/lowering terms couple neighbors (n_e, n) <->
+the matrix is real symmetric tridiagonal: the diagonal holds the energies
+omega * n + omega0 * n_e above the all-ground state (the constant
+-omega0 * N/2 of S_z is a global phase, left out so no entry rounds at
+size N) and the raising/lowering terms couple neighbors (n_e, n) <->
 (n_e + 1, n - 1) with element g * sqrt(n * (N - n_e) * (n_e + 1) / N) in
 the symmetric S = N/2 sector.
 
@@ -116,7 +118,8 @@ class SectorBasis:
 class SectorHamiltonian:
     """Real symmetric tridiagonal block; off_diagonal[k] couples basis
     states k and k+1. Arrays are frozen after construction; they, omega and
-    omega0 must be finite, and g finite and positive."""
+    omega0 must be finite, and g finite and at least the smallest normal
+    float (a subnormal g would round every coupling g * c to a few bits)."""
 
     basis: SectorBasis
     diagonal: np.ndarray
@@ -135,8 +138,9 @@ class SectorHamiltonian:
             )
         _require_finite(omega=self.omega, omega0=self.omega0, g=self.g,
                         diagonal=diag, off_diagonal=off)
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g!r}")
+        if not self.g >= sys.float_info.min:
+            raise ValueError(f"g must be positive and normal (at least {sys.float_info.min}), "
+                             f"got {self.g!r}")
         diag.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
@@ -161,9 +165,11 @@ def build_sector(
     """Assemble the excitation-E block for N_atoms in the symmetric spin
     sector S = N/2.
 
-    Diagonal entries are omega*n + omega0*(n_e - N/2); the coupling between
-    (n_e, n) and (n_e+1, n-1) combines the photon annihilation sqrt(n) with
-    the collective raising element sqrt((N - n_e)(n_e + 1)), scaled by
+    Diagonal entries are omega*n + omega0*n_e, the energies above the
+    all-ground state, without the global phase -omega0*N/2, so detuned
+    entries carry no rounding of size eps*N; the coupling between (n_e, n)
+    and (n_e+1, n-1) combines the photon annihilation sqrt(n) with the
+    collective raising element sqrt((N - n_e)(n_e + 1)), scaled by
     g/sqrt(N). The product is taken under a single square root so sectors
     where the coupling is exactly g (E <= 1) come out bit-exact for any N.
     """
@@ -172,14 +178,18 @@ def build_sector(
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
     n_e = np.arange(basis.dim, dtype=float)
     k = n_e[:-1]
-    try:  # a count past the float range; dim = min(N, E) + 1 is small, so the larger one
-        N, n = float(N_atoms), float(E) - n_e
-        with np.errstate(over="raise"):
+    with np.errstate(over="raise"):
+        try:  # a count past the float range; dim = min(N, E) + 1 is small, so the larger one
+            N, n = float(N_atoms), float(E) - n_e
             coupling = np.sqrt(n[:-1] * (N - k) * (k + 1.0) / N)
-    except (OverflowError, FloatingPointError):
-        raise _too_large("N_atoms" if N_atoms > E else "E",
-                         "the sector's couplings stay finite") from None
-    diagonal = omega * n + omega0 * (n_e - N / 2.0)
+        except (OverflowError, FloatingPointError):
+            raise _too_large("N_atoms" if N_atoms > E else "E",
+                             "the sector's couplings stay finite") from None
+        try:
+            diagonal = omega * n + omega0 * n_e
+        except FloatingPointError:
+            raise _too_large("omega" if abs(omega) >= abs(omega0) else "omega0",
+                             "the sector's diagonal stays finite") from None
     off_diagonal = g * coupling
     return SectorHamiltonian(
         basis=basis,
@@ -441,13 +451,15 @@ def exact_projection_probability(
     i_init = h.basis.index_of(n_e0, n0)
     tau = np.asarray(tau_grid, dtype=float)
     _require_finite(tau_grid=tau)
-    # factor the centred block: the mean diagonal (about -N/2) is a global
-    # phase, and eigenvalues shifted back by it would carry its rounding
+    # factor the centred block: the mean diagonal is a global phase, and
+    # eigenvalues shifted back by it would carry its rounding
     centred = replace(h, diagonal=h.diagonal - np.mean(h.diagonal))
     a, b = centred.diagonal, centred.off_diagonal
     norm = float(np.abs(a).max() + 2.0 * np.abs(b).max(initial=0.0))  # >= |H_centred|
     tau_max = float(np.abs(tau).max(initial=0.0))
-    if not sys.float_info.epsilon * norm * tau_max / h.g <= _PHASE_TOL:  # NaN fails too
+    # tau_max / g first: for a tiny g it overflows to inf, where eps * norm
+    # would underflow to 0 first and pass; inf * 0 is NaN, which fails too
+    if not sys.float_info.epsilon * norm * (tau_max / float(h.g)) <= _PHASE_TOL:
         raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau|/g "
                          f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
     weights, phase = None, _unit_phase

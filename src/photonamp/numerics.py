@@ -3,7 +3,8 @@
 Provides:
   * log_factorial / log_binomial: ln(k!) and ln(n choose k) via lgamma.
   * _require_whole / _require_finite / _twice: the argument checks of the
-    public entry points, raising a ValueError that names the argument.
+    public entry points, raising a ValueError that names the argument;
+    _twice also rejects a label whose double does not convert to a float.
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
     d^j_{m',m}(beta) about the y axis, read off whole columns
@@ -18,6 +19,7 @@ Provides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,7 @@ class HalfInteger:
     @classmethod
     def of(cls, x: "HalfInteger | int | float") -> "HalfInteger":
         """Coerce an int, an exact multiple of 1/2, or a HalfInteger."""
-        return x if isinstance(x, HalfInteger) else cls(*_twice(x=x))
+        return cls(*_twice(x=x))
 
     @property
     def value(self) -> float:
@@ -94,12 +96,22 @@ def _require_finite(**values) -> None:
 def _twice(**labels) -> tuple[int, ...]:
     """Twice each angular-momentum label (a HalfInteger, int or float) as an
     int, in order; raises a ValueError naming the first label that is not a
-    multiple of 1/2 (NaN and +-inf are not)."""
+    multiple of 1/2 (NaN and +-inf are not) or whose double does not
+    convert to a float."""
+    twices = []
     for name, x in labels.items():
-        if not (isinstance(x, (int, np.integer, HalfInteger)) or (2.0 * float(x)).is_integer()):
+        if isinstance(x, HalfInteger):
+            twice = x.twice_value
+        elif isinstance(x, (int, np.integer)):
+            twice = 2 * int(x)
+        elif float(x) % 0.5 == 0.0:  # exact; NaN and +-inf fail
+            twice = 2.0 * float(x)
+        else:
             raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
-    return tuple(x.twice_value if isinstance(x, HalfInteger) else int(2 * x)
-                 for x in labels.values())
+        if not abs(twice) <= sys.float_info.max:  # an int compares exactly; inf fails
+            raise _too_large(name, f"2{name} {_FLOAT_RANGE}")
+        twices.append(int(twice))
+    return tuple(twices)
 
 
 # the limit of a count that overflows as a float, rather than as a log-factorial
@@ -258,11 +270,7 @@ def wigner_small_d(
             f"rotation indices have mismatched parity: j - m and j - m' must be "
             f"integers (got 2j={tj}, 2m'={tmp}, 2m={tm})"
         )
-    try:
-        column = _d_column(tj, tm, beta)
-    except OverflowError:  # 2j past the float range
-        raise _too_large("j", f"2j {_FLOAT_RANGE}") from None
-    return float(column[(tj + tmp) // 2])
+    return float(_d_column(tj, tm, beta)[(tj + tmp) // 2])
 
 
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
@@ -272,7 +280,4 @@ def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
     if tj < 0:
         raise ValueError(f"j must be non-negative, got {j!r}")
     _require_finite(beta=beta)
-    try:
-        return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])
-    except OverflowError:  # 2j past the float range
-        raise _too_large("j", f"2j {_FLOAT_RANGE}") from None
+    return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])

@@ -1,11 +1,15 @@
 """The argument contract of every public entry point: a count must be a
 non-negative whole number (N_atoms at least 1) whose log-factorial, where
 one is taken, and whose float arithmetic, where it enters any, stay
-finite; a real scalar or a tau grid must be
-finite; and a call that breaks this raises a ValueError whose message
-starts with the argument's name, never an OverflowError or a silent
-value."""
+finite; a real scalar or a tau grid must be finite, g at least the
+smallest normal float, and an angular-momentum label a multiple of 1/2
+whose double converts to a float; and a call that breaks this raises a
+ValueError whose message starts with the argument's name, never an
+OverflowError or a silent value. A subnormal real scalar or tau point
+gives finite values or a ValueError, and no RuntimeWarning."""
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from photonamp import (
     build_sector,
     coherent_projection_probability,
     discriminate_photon_number,
+    eigensystem,
     evolve_fock,
     exact_projection_probability,
     fwhm,
@@ -41,8 +46,10 @@ from photonamp import (
 TAU = np.linspace(0.0, math.pi, 64)
 COUNT = (-1, 2.5, math.nan, math.inf)
 HUGE = (10**400, 1e308)  # whole counts past a float, or past a finite log-factorial
-PAST_FLOAT = (10**400,)  # where 1e308 is still a valid count
-REAL = (math.nan, math.inf, -math.inf)
+PAST_FLOAT = (10**400,)  # evolve_fock's N_atoms, where 1e308 is still a valid count
+REAL = (math.nan, math.inf, -math.inf)  # listed first for every real scalar
+SUBNORMAL = 5e-324
+WIDE = (1e308, -1e308)  # finite, but past the float range once multiplied
 GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
 LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
 INDEX = (0.25, math.nan, math.inf)  # m, m': any multiple of 1/2
@@ -61,11 +68,11 @@ CONTRACT = {
     "AtomicMixture": (lambda n_e_max=3: AtomicMixture(n_e_max), {"n_e_max": COUNT}),
     "CoherentInput": (
         lambda intensity=0.1, truncation_nmax=30: CoherentInput(intensity, truncation_nmax),
-        {"intensity": REAL, "truncation_nmax": COUNT + PAST_FLOAT},
+        {"intensity": REAL, "truncation_nmax": COUNT + HUGE},
     ),
     "HalfInteger": (
         lambda x=1.5, twice_value=3: (HalfInteger.of(x), HalfInteger(twice_value)),
-        {"x": INDEX, "twice_value": (math.nan, 2.5)},
+        {"x": INDEX + HUGE, "twice_value": (2.5, math.nan)},
     ),
     "HpEvolutionParams": (
         lambda tau=0.3, omega_over_g=1.0, omega0_over_g=1.0, N_atoms=100, validity_ratio=0.01:
@@ -81,14 +88,14 @@ CONTRACT = {
         lambda diagonal=np.zeros(2), off_diagonal=np.ones(1), omega=1.0, omega0=1.0, g=1.0:
         SectorHamiltonian(SectorBasis(4, 1), diagonal, off_diagonal, omega, omega0, g),
         {"diagonal": block_grids(2), "off_diagonal": block_grids(1), "omega": REAL,
-         "omega0": REAL, "g": REAL + (0.0, -1.0)},
+         "omega0": REAL, "g": REAL + (0.0, -1.0, SUBNORMAL)},
     ),
     "TwoModeFockState": (lambda n_e=2, n=1: TwoModeFockState(n_e, n), {"n_e": COUNT, "n": COUNT}),
     "build_sector": (
         lambda N_atoms=10, E=3, omega=1.0, omega0=1.0, g=1.0:
         build_sector(N_atoms, E, omega, omega0, g),
-        {"N_atoms": COUNT + (0,) + HUGE, "E": COUNT + HUGE, "omega": REAL, "omega0": REAL,
-         "g": REAL + (0.0, -1.0)},
+        {"N_atoms": COUNT + (0,) + HUGE, "E": COUNT + HUGE, "omega": REAL + WIDE,
+         "omega0": REAL + WIDE, "g": REAL + (0.0, -1.0, SUBNORMAL)},
     ),
     "coherent_projection_probability": (
         lambda n_e=3, tau_grid=TAU: coherent_projection_probability(
@@ -100,6 +107,8 @@ CONTRACT = {
         discriminate_photon_number(n_e, observed_peak_time, n_max),
         {"n_e": COUNT, "observed_peak_time": REAL, "n_max": COUNT},
     ),
+    # takes only a SectorHamiltonian, which checks itself
+    "eigensystem": (lambda: eigensystem(build_sector(10, 3)), {}),
     # through the records it takes
     "evolve_fock": (
         lambda n_e=2, n=1, tau=0.3, N_atoms=10**6: evolve_fock(
@@ -151,7 +160,7 @@ CONTRACT = {
     # integer labels, so that j = 10**400 passes the parity check
     "wigner_small_d": (
         lambda j=2, m_prime=1, m=0, beta=0.3: wigner_small_d(j, m_prime, m, beta),
-        {"j": LABEL + HUGE, "m_prime": INDEX, "m": INDEX, "beta": REAL},
+        {"j": LABEL + HUGE, "m_prime": INDEX + HUGE, "m": INDEX + HUGE, "beta": REAL},
     ),
 }
 
@@ -187,3 +196,36 @@ def test_bad_argument_raises_value_error_naming_it(name, arg, value):
     with pytest.raises(ValueError) as caught:
         call(**{arg: value})
     assert str(caught.value).startswith(f"{arg} must "), str(caught.value)
+
+
+def _finite(result):
+    """Every float in a result (arrays, records and tuples of them) is finite."""
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return all(map(_finite, result))
+    if isinstance(result, (np.ndarray, float)):
+        return bool(np.isfinite(result).all())
+    return True  # counts and metadata
+
+
+# every real scalar gets the smallest subnormal, and every tau grid a point at it
+TINY_CASES = [
+    pytest.param(name, arg, value, id=f"{name}-{arg}")
+    for name, (_, bad) in CONTRACT.items()
+    for arg, values in bad.items()
+    for value in ([np.array([0.0, SUBNORMAL, 1.0])] if arg == "tau_grid"
+                  else [SUBNORMAL] if values[0] is REAL[0] else [])
+]
+
+
+@pytest.mark.parametrize("name,arg,value", TINY_CASES)
+def test_subnormal_argument_gives_finite_values_or_a_value_error(name, arg, value):
+    call, _ = CONTRACT[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = call(**{arg: value})
+        except ValueError:  # a named argument, or a domain error such as a vanishing gain
+            return
+    assert _finite(result)

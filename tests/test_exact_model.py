@@ -48,10 +48,11 @@ class TestBasisAndBuild:
             basis.index_of(1, 2)
 
     def test_single_atom_single_excitation(self):
-        # a lone two-level atom: the one-excitation block couples at g
+        # a lone two-level atom: the one-excitation block couples at g, and
+        # both states carry one quantum above the all-ground state
         h = build_sector(1, 1, omega=1.0, omega0=1.0, g=1.0)
         assert h.off_diagonal[0] == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(h.diagonal, [0.5, 0.5])
+        np.testing.assert_allclose(h.diagonal, [1.0, 1.0])
 
     def test_vacuum_sector_is_one_by_one(self):
         h = build_sector(37, 0)
@@ -148,6 +149,13 @@ class TestExactEvolution:
         with pytest.raises(ValueError, match="^tau_grid must keep the phase error bound"):
             exact_projection_probability(build_sector(1000, 5), (3, 2), np.array([0.0, tau_max]))
 
+    def test_tiny_g_overflowing_tau_over_g_names_tau_grid(self):
+        # eps * |H| underflowed to 0 before the bound divided by g, so the
+        # guard passed and tau / g overflowed into NaN probabilities
+        h = build_sector(10, 3, g=3e-308)
+        with pytest.raises(ValueError, match="^tau_grid must keep the phase error bound"):
+            exact_projection_probability(h, (1, 2), np.array([0.0, 100.0]))
+
     def test_phase_error_bound_leaves_room_for_long_grids(self):
         # E = 3000 at tau = pi has a bound of about 2e-12, far inside 1e-8
         h = build_sector(10**5, 3000)
@@ -174,8 +182,8 @@ class TestExactEvolution:
 
     @pytest.mark.parametrize("N,E", [(10**6, 5), (10**8, 6)])
     def test_large_N_matches_dense_expm_of_centred_block(self, N, E):
-        # the mean diagonal, about -N/2, is a global phase; eigenvalues shifted
-        # back by it are rounded to the spacing of floats near N/2
+        # the mean diagonal is a global phase; eigenvalues shifted back by it
+        # would carry its rounding
         h = build_sector(N, E)
         centred = h.dense() - np.mean(h.diagonal) * np.eye(h.basis.dim)
         taus = np.linspace(0.3, 3.0, 9)
@@ -183,6 +191,19 @@ class TestExactEvolution:
             trace = exact_projection_probability(h, state, taus)
             want = [abs(expm(-1j * centred * t)[0, init]) ** 2 for t in taus]
             np.testing.assert_allclose(trace.values, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("detuning", [0.1, 0.3])
+    @pytest.mark.parametrize("N", [10**3, 10**5, 10**8, 10**10])
+    def test_detuned_single_quantum_follows_rabi_formula(self, N, detuning):
+        # E = 1 couples exactly at g for every N: p = sin^2(k tau) / k^2 with
+        # k = sqrt(1 + (detuning/2)^2). A diagonal of size N/2 lost eps*N here.
+        h = build_sector(N, 1, omega=1.0 + detuning, omega0=1.0)
+        taus = np.linspace(0.0, 3.0, 301)
+        k = math.sqrt(1.0 + (detuning / 2.0) ** 2)
+        p = np.sin(k * taus) ** 2 / k**2
+        for state, want in (((1, 0), p), ((0, 1), 1.0 - p)):
+            got = exact_projection_probability(h, state, taus).values
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_detuned_matches_dense_expm(self):
         h = build_sector(20, 2, omega=2.0, omega0=1.5, g=1.0)

@@ -112,6 +112,12 @@ class TestHalfInteger:
         with pytest.raises(ValueError):
             HalfInteger.of(0.3)
 
+    @pytest.mark.parametrize("x", [1e308, -1e308, 10**400, HalfInteger(2 * 10**400)],
+                             ids=["1e308", "-1e308", "10**400", "HalfInteger(2*10**400)"])
+    def test_of_rejects_a_double_past_the_float_range(self, x):
+        with pytest.raises(ValueError, match="^x must be small enough that 2x converts to a float"):
+            HalfInteger.of(x)
+
     def test_value_and_str(self):
         assert HalfInteger(5).value == 2.5
         assert str(HalfInteger(5)) == "5/2"
@@ -143,6 +149,14 @@ class TestWignerSmallD:
             wigner_small_d(1.5, 1, 0.5, 0.3)  # parity mismatch: j - m' not integer
         with pytest.raises(ValueError):
             wigner_small_d(1, 0, 0, math.inf)
+
+    @pytest.mark.parametrize("j", [1e308, 10**400, HalfInteger(2 * 10**400)],
+                             ids=["1e308", "10**400", "HalfInteger(2*10**400)"])
+    def test_huge_j_is_named_for_its_float_range(self, j):
+        # 2j = inf used to read as "not an integer or half-integer"
+        for call in (lambda: wigner_small_d(j, 0, 0, 0.1), lambda: wigner_d_matrix(j, 0.1)):
+            with pytest.raises(ValueError, match="^j must be small enough that 2j converts to a float"):
+                call()
 
     @pytest.mark.parametrize("twice_j", [0, 1, 2, 5, 9, 12])
     def test_matches_matrix_exponential(self, twice_j):
