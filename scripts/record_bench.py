@@ -15,7 +15,8 @@ BENCHMARK.json. Every workload there gets PAIRS (10) pairs; pair k (from
 odd. The file holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median, quartiles and IQR (the inclusive method of
 statistics.quantiles), the pairs the change wins, and the median ratio
-against the metric's bound; every run is kept too.
+against the metric's bound; every run is kept too, and each side's lines
+and code lines per module of src/photonamp.
 With --trace-workload, one `--trace 1` run per side at the first seed adds
 the per-layer metrics.
 
@@ -27,6 +28,7 @@ under "unfinished".
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -87,14 +89,31 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
             "worse_than_parent_by": worse, "within_bound": worse <= metric["bound"]}
 
 
+def code_lines(source: str) -> int:
+    """Lines that are not blank, not a # comment and not part of a module,
+    class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(1 for number, line in enumerate(io.StringIO(source), 1)
+               if line.strip() and not line.lstrip().startswith("#") and number not in docstrings)
+
+
 def line_counts(tree: str) -> dict:
+    """Lines per module of src/photonamp, and under "code" its code lines."""
     package = os.path.join(tree, "src", "photonamp")
-    counts = {}
+    counts, code = {}, {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
-                counts[f"src/photonamp/{name}"] = sum(1 for _ in fh)
-    return {**counts, "total": sum(counts.values())}
+                lines = fh.readlines()
+            counts[f"src/photonamp/{name}"] = len(lines)
+            code[f"src/photonamp/{name}"] = code_lines("".join(lines))
+    return {**counts, "total": sum(counts.values()),
+            "code": {**code, "total": sum(code.values())}}
 
 
 def machine() -> dict:

@@ -39,7 +39,7 @@ from .ensembles import (
 )
 from .exact_model import build_sector, exact_projection_probability
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _d_column, _require_finite, _require_whole
+from .numerics import _d_column, _require_finite, _require_twice_j, _require_whole
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = ["main"]
@@ -310,6 +310,7 @@ def _run_fig3(cfg: dict) -> dict:
 
 def _run_wigner(cfg: dict) -> dict:
     n_e, n = _require_whole(n_e=cfg["n_e"], n=cfg["n"])
+    _require_twice_j(n_e + n, "n_e" if n_e >= n else "n", "n_e + n")
     tau = _tau_grid(cfg)
     _require_finite(**{"2*tau_min": 2.0 * cfg["tau_min"], "2*tau_max": 2.0 * cfg["tau_max"]})
     columns = np.array([_d_column(n_e + n, n_e - n, 2.0 * t) for t in tau])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,9 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray
     q_{m+1} = s2 (q_m + x sigma_m / (m+1)), sigma_{m+1} = s2 sigma_m + q_{m+1}
     (DLMF 18.9) add only non-negative terms, so nothing cancels, unlike the
     three-term recurrence. exp(-intensity s2) is carried as a logarithm, so
-    the curve survives where it underflows. Returns q_{n_e}, t_{n_e},
-    sum_m q_m and sum_m t_m, with t_m = m q_m + x sigma_m the moment of the
-    n + m emitted photons, as one read-only 4 x len(tau) array.
+    the curve survives where it underflows. Returns q_{n_e}, sigma_{n_e},
+    sum_m q_m, sum_m sigma_m and sum_m m q_m as one read-only 5 x len(tau)
+    array; the n + m photons left behind have moment m q_m + x sigma_m.
 
     The pass steps in place in preallocated rows, so no step allocates. It
     measures max(sigma) against the 1e100 rescaling threshold only when a
@@ -144,7 +143,7 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray
     a measurement on every step would. The last result is kept in a
     one-entry cache keyed by n_e, intensity and tau's shape and bytes, so
     the pure and the mixed curve of one (n_e, intensity, grid) share a
-    single pass; the cache keeps that 4 x len(tau) array alive until the
+    single pass; the cache keeps that 5 x len(tau) array alive until the
     next miss.
     """
     (n_e,) = _require_whole(n_e=n_e)
@@ -158,22 +157,23 @@ def _poisson_pass(n_e: int, intensity: float, shape: tuple, tau_bytes: bytes) ->
     s2 = np.sin(tau) ** 2
     x = intensity * np.cos(tau) ** 2
     log_scale = -intensity * s2
-    out = np.zeros((4, *shape))
-    q, t, q_sum, t_sum = out  # rows of out, stepped in place
+    out = np.zeros((5, *shape))
+    q, sigma, q_sum, sigma_sum, m_q_sum = out  # rows of out, stepped in place
     q.fill(1.0)
-    sigma, x_sigma = np.ones(shape), np.empty(shape)
+    sigma.fill(1.0)
+    term = np.empty(shape)
     growth = (2.0 + intensity) * (1.0 + 1e-12)  # with headroom for rounding
     bound = 1.0  # >= max(sigma)
     for m in range(n_e + 1):
-        np.multiply(x, sigma, out=x_sigma)
-        np.multiply(m, q, out=t)
-        t += x_sigma
         q_sum += q
-        t_sum += t
+        sigma_sum += sigma
+        np.multiply(m, q, out=term)
+        m_q_sum += term
         if m == n_e:
             break
-        x_sigma /= m + 1
-        q += x_sigma
+        np.multiply(x, sigma, out=term)
+        term /= m + 1
+        q += term
         q *= s2
         sigma *= s2
         sigma += q
@@ -182,8 +182,7 @@ def _poisson_pass(n_e: int, intensity: float, shape: tuple, tau_bytes: bytes) ->
             bound = sigma.max(initial=0.0)
             if bound > 1e100:
                 scale = np.maximum(sigma, 1.0)
-                for row in (q, sigma, q_sum, t_sum):
-                    row /= scale
+                out /= scale
                 log_scale += np.log(scale)
                 bound = 1.0
     with np.errstate(divide="ignore"):  # exp(log_scale) alone may underflow
@@ -245,38 +244,32 @@ def intensity_gain(
     Every surviving component started as (m excited atoms, n photons) and
     leaves n + m photons behind; the expectation runs over the projection-
     renormalized weights Poisson(n) * P(m, n, tau), summed over every n in
-    closed form. Approaches n_e/intensity for the pure state and
-    n_e/(2*intensity) for the uniform mixture as tau -> pi/2.
-
-    Raises where the gain overflows, or where x = intensity cos^2 tau is
-    subnormal and lost bits a normal float would keep, and its term of at
-    most (n_e + 1) cos^2 tau in the gain is not negligible.
+    closed form: the mean m over intensity plus cos^2 tau sigma/q, the
+    ratio of two rows of the Poisson pass, so the product intensity
+    cos^2 tau, which may be subnormal, never enters it. Approaches
+    n_e/intensity for the pure state and n_e/(2*intensity) for the uniform
+    mixture as tau -> pi/2. Raises where the gain overflows.
     """
     if input.intensity <= 0.0:
         raise ValueError("intensity gain requires a nonzero input intensity")
     _require_finite(tau=tau)
     mixture = isinstance(atoms, AtomicMixture)
     n_e = atoms.n_e_max if mixture else atoms
-    q, t, q_sum, t_sum = _poisson_averages(n_e, input.intensity, np.array([float(tau)]))[:, 0]
-    weight, photons = (q_sum, t_sum) if mixture else (q, t)
+    q, sigma, q_sum, sigma_sum, m_q_sum = _poisson_averages(
+        n_e, input.intensity, np.array([float(tau)]))[:, 0]
+    weight, sigma = (q_sum, sigma_sum) if mixture else (q, sigma)
     if weight <= 0.0:
         raise ValueError(
             f"projection probability vanishes at tau={tau}; "
             "conditional gain is undefined"
         )
-    with np.errstate(over="ignore", divide="ignore"):
-        gain = float(photons / (weight * input.intensity))
+    mean_m = m_q_sum / weight if mixture else n_e
+    with np.errstate(over="ignore"):
+        gain = float(mean_m / input.intensity + math.cos(tau) ** 2 * (sigma / weight))
     if not math.isfinite(gain):
         raise ValueError(
             f"intensity {input.intensity!r} is too small for a finite gain at tau={tau}"
         )
-    cos2 = math.cos(tau) ** 2
-    x = input.intensity * cos2
-    # scaled by 2^600 into the normal range, the product rounds to 53 bits
-    if (x < sys.float_info.min and gain * sys.float_info.epsilon < (n_e + 1) * cos2
-            and math.ldexp(x, 600) != math.ldexp(input.intensity, 600) * cos2):
-        raise ValueError(f"intensity {input.intensity!r} is too small: intensity*cos(tau)^2"
-                         f" = {x!r} is subnormal at tau={tau}")
     return gain
 
 

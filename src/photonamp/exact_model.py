@@ -28,7 +28,8 @@ fallen below 1e-20.
 Smaller blocks use LAPACK's dense eigenvectors, which are faster there. At
 resonance the spectrum comes in +-lambda pairs, and large blocks whose
 centred diagonal is exactly zero (omega = omega0 = 1) solve only its
-positive half.
+positive half. `_spectrum` is the one place that picks among the three
+routes, and a route that fails falls back to the dense eigenvectors.
 """
 from __future__ import annotations
 
@@ -319,12 +320,12 @@ def _pivot_pass(
 
 
 def _twisted_weights(
-    a: np.ndarray, b: np.ndarray, i: int, w: np.ndarray | None = None, mass: float = 1.0
+    a: np.ndarray, b: np.ndarray, i: int, w: np.ndarray, mass: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues w_k of the tridiagonal matrix T with diagonal a and
-    nonzero off-diagonal b (all of them unless given), and the products
-    v[0, k] * v[i, k] of its unit eigenvectors, in O(dim) memory; the
-    products are None when the computed first components fail
+    nonzero off-diagonal b (all of them, or one half of the spectrum),
+    and the products v[0, k] * v[i, k] of its unit eigenvectors, in O(dim)
+    memory; the products are None when the computed first components fail
     sum_k v[0, k]^2 = mass, which is 1 for the whole spectrum.
 
     Each eigenvector x solves a twisted factorization of T - w_k
@@ -343,11 +344,7 @@ def _twisted_weights(
     larger |x_r|. The eigenvalues come back sorted by their twist, so each
     step of a pass works on one contiguous slice.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
-
     n = a.size
-    if w is None:
-        w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
     reach = np.abs(np.append(b, 0.0)) + np.abs(np.append(0.0, b))  # b_j + b_{j-1}
     r = _deepest_sites(w, a, reach)
     order = np.argsort(r, kind="stable")
@@ -372,7 +369,7 @@ def _twisted_weights(
     v0, vi = np.where(gamma[1] < gamma[0], v[:, 1], v[:, 0])
     # sum_k v[0, k]^2 = 1 for an orthonormal basis; eigenvectors twisted
     # where they vanish (a zero coupling, or a classical region in two
-    # pieces) break it, and the caller falls back to another route
+    # pieces) break it, and the caller falls back to the dense route
     if not abs(np.dot(v0, v0) - mass) <= _COMPLETENESS_TOL:
         return w, None
     return w, v0 * vi
@@ -408,8 +405,51 @@ def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float] | N
     return np.sqrt(sigma2), x[i // 2] / norm2 if i % 2 == 0 else 0.0, 1.0 / norm2
 
 
-def _unit_phase(x: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * x)
+def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Eigenvalues w_k of a block centred on its mean diagonal, the weights
+    v[0, k] v[i, k] of its unit eigenvectors, and the parity: None for the
+    whole spectrum, i % 2 for the half lambda >= 0 of a +-lambda spectrum.
+
+    Blocks of dimension up to _DENSE_MAX_DIM (224) take the weights from
+    `eigensystem`; larger ones from eigenvalues and twisted factorizations
+    (`_twisted_weights`), without the dim x dim eigenvector matrix. A block
+    with an exactly zero centred diagonal (every build_sector block with
+    omega = omega0 = 1) twists only its eigenvalues lambda > 0, from
+    `_positive_half`: the weight at -lambda is (-1)^i times that at lambda,
+    so the weights double and lambda = 0 is appended with its own weight,
+    checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1, v_0(0) at lambda = 0.
+    Every other block twists the eigenvalues of LAPACK's sterf. A route
+    that fails goes straight to the dense eigenvectors: `_positive_half`
+    fails where b^2 overflows (g = 1e160) or a zero coupling makes its
+    lambda = 0 vector infinite, and `_twisted_weights` on a floating-point
+    fault or a failed completeness check, seen only on hand-built blocks
+    with a zero coupling or a split classical region.
+
+    Both twisted routes are limited by the rounding of the eigenvalues,
+    about eps * |H| * tau/g in each phase. On blocks of dimension 451 to
+    651 the general route and the dense one agree within 1e-11 (worst
+    4.5e-12, for a strongly detuned block at tau/g = 30) and each lies
+    within 4e-13 of a 40-digit eigendecomposition where one was made; from
+    dim 225 to 512 the general route lies within 1e-13 of dense expm. The
+    half-spectrum and the general route agree within 1e-13 on blocks of
+    dim 225 to 512 and 4e-13 on blocks of dim 513 to 3001.
+    """
+    a, b = centred.diagonal, centred.off_diagonal
+    if centred.basis.dim > _DENSE_MAX_DIM and not a.any():
+        half = _positive_half(b, i)
+        if half is not None:
+            w, zero_weight, zero_mass = half
+            w, weights = _twisted_weights(a, b, i, w, (1.0 - zero_mass) / 2.0)
+            if weights is not None:
+                return np.append(w, 0.0), np.append(2.0 * weights, zero_weight), i % 2
+    elif centred.basis.dim > _DENSE_MAX_DIM:
+        from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
+
+        w, weights = _twisted_weights(a, b, i, eigvalsh_tridiagonal(a, b, lapack_driver="sterf"))
+        if weights is not None:
+            return w, weights, None
+    w, v = eigensystem(centred)
+    return w, v[0, :] * v[i, :], None
 
 
 def exact_projection_probability(
@@ -422,30 +462,13 @@ def exact_projection_probability(
 
     The target is the all-atoms-ground state carrying every quantum as a
     photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau/g) over
-    the eigenpairs of the block centred on its mean diagonal. Blocks of
-    dimension up to _DENSE_MAX_DIM (224) take the weights from `eigensystem`;
-    larger ones from eigenvalues and twisted factorizations
-    (`_twisted_weights`), without the dim x dim eigenvector matrix, unless
-    those fail their completeness check (only hand-built blocks with a zero
-    coupling or a split classical region have been seen to). Either
-    way the phases are summed in blocks of eigenvalues, so memory stays
-    O(dim + len(tau)) above the cutoff. Both paths are limited by the
-    rounding of the eigenvalues, about eps * |H| * tau/g in each phase; on
-    blocks of dimension 451 to 651 they agree within 1e-11 (worst 4.5e-12,
-    for a strongly detuned block at tau/g = 30) and each lies within 4e-13
-    of a 40-digit eigendecomposition where one was made; from dim 225 to 512
-    the twisted route lies within 1e-13 of dense expm. A tau_grid that is
-    not finite, or where the bound eps * |H_centred| * max|tau| / g exceeds
-    _PHASE_TOL (1e-8), raises a ValueError naming it before any solve.
-
-    Above the cutoff, a block with an exactly zero centred diagonal (every
-    build_sector block with omega = omega0 = 1) first twists only its
-    eigenvalues lambda > 0, from `_positive_half`: the weight at -lambda is
-    (-1)^i times that at lambda, so the amplitude is a real sum of cosines
-    (even i) or sines (odd i), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
-    v_0(0) at lambda = 0. If either fails, the block takes the general
-    route; the two agree within 1e-13 on blocks of dim 225 to 512 and 4e-13
-    on blocks of dim 513 to 3001.
+    the eigenpairs of the block centred on its mean diagonal, from
+    `_spectrum`; over a half spectrum, lambda >= 0, it is a real sum of
+    cosines (even i) or sines (odd i). The phases are summed in blocks of
+    eigenvalues, so memory stays O(dim + len(tau)) above the dense cutoff.
+    A tau_grid that is not finite, or where the bound
+    eps * |H_centred| * max|tau| / g exceeds _PHASE_TOL (1e-8), raises a
+    ValueError naming it before any solve.
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
@@ -462,21 +485,9 @@ def exact_projection_probability(
     if not sys.float_info.epsilon * norm * (tau_max / float(h.g)) <= _PHASE_TOL:
         raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau|/g "
                          f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
-    weights, phase = None, _unit_phase
-    if h.basis.dim > _DENSE_MAX_DIM:
-        half = None if a.any() else _positive_half(b, i_init)
-        if half is not None:
-            w, zero_weight, zero_mass = half
-            w, weights = _twisted_weights(a, b, i_init, w, (1.0 - zero_mass) / 2.0)
-        if weights is not None:
-            # +-lambda pairs: cosines for even i; sines, and w_0 = 0, for odd i
-            w, weights = np.append(w, 0.0), np.append(2.0 * weights, zero_weight)
-            phase = np.sin if i_init % 2 else np.cos
-        else:
-            w, weights = _twisted_weights(a, b, i_init)
-    if weights is None:
-        w, v = eigensystem(centred)
-        weights = v[0, :] * v[i_init, :]
+    w, weights, parity = _spectrum(centred, i_init)
+    # over +-lambda pairs, cosines for even i and sines for odd i
+    phase = (np.cos, np.sin)[parity] if parity is not None else lambda x: np.exp(-1j * x)
     t = tau / h.g
     step = max(1, _BLOCK // max(t.size, 1))
     amps = sum(

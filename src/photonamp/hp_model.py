@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_FLOAT_RANGE, _d_column, _require_finite, _require_whole, _too_large,
-                       log_binomial)
+from .numerics import (_FLOAT_RANGE, _d_column, _require_finite, _require_twice_j,
+                       _require_whole, _too_large, log_binomial)
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -129,14 +129,14 @@ def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> Amplitude
     matrix exponential of the hopping generator in the tests).
     """
     total, tau = state.total_quanta, params.tau
+    _require_twice_j(total, "n_e" if state.n_e >= state.n else "n", "n_e + n")
     try:
         crowded = total > params.validity_ratio * params.N_atoms
         phase = float(tau) * (
             params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0
         )
-    except OverflowError:  # a count past the float range
-        name = "N_atoms" if params.N_atoms > total else "n_e + n"
-        raise _too_large(name, f"it {_FLOAT_RANGE}") from None
+    except OverflowError:  # N_atoms past the float range; total is capped above
+        raise _too_large("N_atoms", f"it {_FLOAT_RANGE}") from None
     if crowded:
         warnings.warn(
             f"bosonized model used with n_e + n = {total} quanta for "

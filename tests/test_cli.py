@@ -288,8 +288,12 @@ class TestExitCodes:
             (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
             (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"],
              "photonamp: error: n must be non-negative, got -1\n"),
+            (["wigner", "--n-e", "3", "--n", "100000", "--grid-points", "4"],
+             "photonamp: error: n must be small enough that n_e + n is at most 100000, "
+             "got n_e + n = 100003\n"),
         ],
-        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate", "wigner"],
+        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate", "wigner",
+             "wigner-past-cap"],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
         assert run(argv) == 1

@@ -3,9 +3,10 @@ non-negative whole number (N_atoms at least 1) whose log-factorial, where
 one is taken, and whose float arithmetic, where it enters any, stay
 finite; a real scalar or a tau grid must be finite, g at least the
 smallest normal float, and an angular-momentum label a multiple of 1/2
-whose double converts to a float; and a call that breaks this raises a
-ValueError whose message starts with the argument's name, never an
-OverflowError or a silent value. A subnormal real scalar or tau point
+whose double converts to a float, with 2j (n_e + n for a two-mode state)
+at most MAX_TWICE_J = 10**5 where a rotation is built; and a call that
+breaks this raises a ValueError whose message starts with the argument's
+name, never an OverflowError or a silent value. A subnormal real scalar or tau point
 gives finite values or a ValueError, and no RuntimeWarning."""
 import dataclasses
 import math
@@ -52,6 +53,8 @@ SUBNORMAL = 5e-324
 WIDE = (1e308, -1e308)  # finite, but past the float range once multiplied
 GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
 LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
+PAST_CAP = (50_000.5, 10**20)  # j with 2j past MAX_TWICE_J = 10**5
+QUANTA_PAST_CAP = (100_000, 10**19)  # n_e or n taking n_e + n past MAX_TWICE_J
 INDEX = (0.25, math.nan, math.inf)  # m, m': any multiple of 1/2
 
 
@@ -113,7 +116,8 @@ CONTRACT = {
     "evolve_fock": (
         lambda n_e=2, n=1, tau=0.3, N_atoms=10**6: evolve_fock(
             TwoModeFockState(n_e, n), HpEvolutionParams(tau, N_atoms=N_atoms)),
-        {"n_e": COUNT, "n": COUNT, "tau": REAL, "N_atoms": PAST_FLOAT},
+        {"n_e": COUNT + QUANTA_PAST_CAP, "n": COUNT + QUANTA_PAST_CAP, "tau": REAL,
+         "N_atoms": PAST_FLOAT},
     ),
     "exact_projection_probability": (
         lambda n_e=2, n=1, tau_grid=TAU: exact_projection_probability(
@@ -155,12 +159,14 @@ CONTRACT = {
         {"n_e": COUNT, "n": COUNT, "epsilon": REAL},
     ),
     "wigner_d_matrix": (
-        lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta), {"j": LABEL + HUGE, "beta": REAL}
+        lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta),
+        {"j": LABEL + HUGE + PAST_CAP, "beta": REAL}
     ),
     # integer labels, so that j = 10**400 passes the parity check
     "wigner_small_d": (
         lambda j=2, m_prime=1, m=0, beta=0.3: wigner_small_d(j, m_prime, m, beta),
-        {"j": LABEL + HUGE, "m_prime": INDEX + HUGE, "m": INDEX + HUGE, "beta": REAL},
+        {"j": LABEL + HUGE + PAST_CAP, "m_prime": INDEX + HUGE, "m": INDEX + HUGE,
+         "beta": REAL},
     ),
 }
 

@@ -479,8 +479,10 @@ def _assert_same_pass(a, b, w, stop, i, retire=True):
 
 def _pass_arguments(h, i, w=None):
     """The arguments of the top-down and the reversed _pivot_pass call that
-    _twisted_weights makes for initial index i."""
+    _twisted_weights makes for initial index i, with the eigenvalues w, or
+    by default all of them."""
     calls, real = [], exact_model._pivot_pass
+    w = _sterf(h) if w is None else w
     with pytest.MonkeyPatch.context() as m:
         m.setattr(exact_model, "_pivot_pass",
                   lambda *args, **kwargs: calls.append((args, kwargs)) or real(*args, **kwargs))
@@ -579,7 +581,7 @@ class TestPivotPass:
     def test_weights_equal_the_full_loop_on_states_both_keep(self, monkeypatch, block):
         h = PASS_BLOCKS[block]()
         a, b = h.diagonal - np.mean(h.diagonal), h.off_diagonal
-        w = _exact_zero_eigenvalue(h) if block == "zero-pivot" else None
+        w = _exact_zero_eigenvalue(h) if block == "zero-pivot" else _sterf(h)
         for i in (0, 1, h.basis.dim // 3, h.basis.dim // 2 + 1, h.basis.dim - 1):
             kept, weights = exact_model._twisted_weights(a, b, i, w)
             with monkeypatch.context() as m:
@@ -623,8 +625,17 @@ RESONANT = {
 }
 
 
-def _general_path(monkeypatch, h, i, tau):
-    """Probabilities with the half-spectrum route switched off."""
+def _zero_coupling(site):
+    """The resonant dim-601 block with its coupling at site set to zero."""
+    h = RESONANT["dim-601"]()
+    off = h.off_diagonal.copy()
+    off[site] = 0.0
+    return SectorHamiltonian(h.basis, h.diagonal, off, 1.0, 1.0, 1.0)
+
+
+def _dense_fallback(monkeypatch, h, i, tau):
+    """Probabilities with the half-spectrum route failing, which sends a
+    resonant block to the dense eigenvectors."""
     with monkeypatch.context() as m:
         m.setattr(exact_model, "_positive_half", lambda b, i: None)
         return exact_projection_probability(h, h.basis.states[i], tau).values
@@ -677,27 +688,24 @@ class TestHalfSpectrum:
                                        err_msg=f"i={i}")
 
     @pytest.mark.parametrize("block", RESONANT)
-    def test_agrees_with_the_general_path(self, monkeypatch, block):
+    def test_agrees_with_the_dense_fallback(self, monkeypatch, block):
         h = RESONANT[block]()
         for i in _indices(h):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
-            want = _general_path(monkeypatch, h, i, TAU_16)
+            want = _dense_fallback(monkeypatch, h, i, TAU_16)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
     @pytest.mark.parametrize("site", [300, 301])
     def test_zero_coupling_falls_back(self, monkeypatch, site):
         # a zero b_2k makes B singular, which fails the twisted completeness
         # check; a zero b_2k+1 makes the lambda = 0 eigenvector infinite
-        h = RESONANT["dim-601"]()
-        off = h.off_diagonal.copy()
-        off[site] = 0.0
-        h = SectorHamiltonian(h.basis, h.diagonal, off, 1.0, 1.0, 1.0)
+        h = _zero_coupling(site)
         calls, half = [], exact_model._positive_half
         monkeypatch.setattr(exact_model, "_positive_half",
                             lambda b, i: calls.append(i) or half(b, i))
         for i in (0, 1, 300):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
-            np.testing.assert_array_equal(got, _general_path(monkeypatch, h, i, TAU_16))
+            np.testing.assert_array_equal(got, _dense_fallback(monkeypatch, h, i, TAU_16))
         assert calls == [0, 1, 300]
 
     def test_overflowing_square_falls_back(self, monkeypatch):
@@ -706,9 +714,30 @@ class TestHalfSpectrum:
         assert exact_model._positive_half(h.off_diagonal, 0) is None
         for i in (0, 1, 300):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
-            np.testing.assert_array_equal(got, _general_path(monkeypatch, h, i, TAU_16))
+            np.testing.assert_array_equal(got, _dense_fallback(monkeypatch, h, i, TAU_16))
             want = exact_projection_probability(RESONANT["dim-601"](), h.basis.states[i], TAU_16)
             np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    @pytest.mark.parametrize("block,twisted", [
+        (lambda: _zero_coupling(300), True),  # B singular: the twisted check fails
+        (lambda: build_sector(10**6, 600, g=1e160), False),  # b^2 overflows
+    ], ids=["zero-coupling", "g=1e160"])
+    def test_failed_route_goes_straight_to_dense(self, monkeypatch, block, twisted):
+        # a failed half spectrum is not retried as the whole spectrum: at
+        # most one twisted attempt per call, and no sterf eigenvalues
+        def no_sterf(*args, **kwargs):
+            raise AssertionError("took the general route")
+
+        h = block()
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_sterf)
+        attempts, real = [], exact_model._twisted_weights
+        monkeypatch.setattr(exact_model, "_twisted_weights",
+                            lambda a, b, i, *rest: attempts.append(i) or real(a, b, i, *rest))
+        dense = _count_dense_calls(monkeypatch)
+        for i in (0, 1, 300):
+            exact_projection_probability(h, h.basis.states[i], TAU_16)
+        assert attempts == ([0, 1, 300] if twisted else [])
+        assert len(dense) == 3
 
 
 class TestHpDeviation:

@@ -90,6 +90,14 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make()
 
+    @pytest.mark.parametrize("n_e,n,name", [(10**19, 0, "n_e"), (3, 10**19, "n"),
+                                            (50_001, 50_000, "n_e")])
+    def test_quanta_past_the_rotation_cap_name_the_larger_count(self, n_e, n, name):
+        # 10**19 quanta used to raise a bare OverflowError building the column
+        with pytest.raises(ValueError, match=f"^{name} must be small enough that n_e \\+ n "
+                                             f"is at most 100000, got n_e \\+ n = {n_e + n}$"):
+            evolve_fock(TwoModeFockState(n_e, n), HpEvolutionParams(tau=0.0, N_atoms=10**30))
+
     @pytest.mark.parametrize("tau", [1e308, -1.7e308])
     def test_overflowing_rotation_angle_names_tau(self, tau):
         with pytest.raises(ValueError, match="^tau must keep the rotation angle 2\\*tau finite"):

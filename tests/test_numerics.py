@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonamp.numerics import (
+    MAX_TWICE_J,
     HalfInteger,
     log_binomial,
     log_factorial,
@@ -156,6 +157,18 @@ class TestWignerSmallD:
         # 2j = inf used to read as "not an integer or half-integer"
         for call in (lambda: wigner_small_d(j, 0, 0, 0.1), lambda: wigner_d_matrix(j, 0.1)):
             with pytest.raises(ValueError, match="^j must be small enough that 2j converts to a float"):
+                call()
+
+    @pytest.mark.parametrize("j", [MAX_TWICE_J / 2 + 0.5, 10**20],
+                             ids=["2j=cap+1", "10**20"])
+    def test_j_past_the_cap_is_named(self, j):
+        # at beta = 0 the identity's column of 2j + 1 zeros used to be built,
+        # and past sys.maxsize raised a bare OverflowError
+        assert wigner_small_d(MAX_TWICE_J // 2, 7, 7, 0.0) == 1.0  # 2j at the cap
+        for call in (lambda: wigner_small_d(j, j, j, 0.0),
+                     lambda: wigner_d_matrix(j, 0.0)):
+            with pytest.raises(ValueError, match=f"^j must be small enough that 2j is at "
+                                                 f"most {MAX_TWICE_J}, got 2j = "):
                 call()
 
     @pytest.mark.parametrize("twice_j", [0, 1, 2, 5, 9, 12])
