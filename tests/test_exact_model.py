@@ -703,9 +703,14 @@ class TestHalfSpectrum:
         calls, half = [], exact_model._positive_half
         monkeypatch.setattr(exact_model, "_positive_half",
                             lambda b, i: calls.append(i) or half(b, i))
-        for i in (0, 1, 300):
+        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr") / h.g
+        starts = np.eye(h.basis.dim, dtype=complex)[:, [0, 1, 300]]
+        psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
+                            num=TAU_16.size, endpoint=True)
+        for col, i in enumerate((0, 1, 300)):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
-            np.testing.assert_array_equal(got, _dense_fallback(monkeypatch, h, i, TAU_16))
+            np.testing.assert_allclose(got, np.abs(psi[:, 0, col]) ** 2, rtol=0, atol=1e-11,
+                                       err_msg=f"i={i}")
         assert calls == [0, 1, 300]
 
     def test_overflowing_square_falls_back(self, monkeypatch):
