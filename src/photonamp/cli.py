@@ -85,59 +85,12 @@ _OUT_OPTS = [
     _Opt("format", "--format", str, False, "csv", "output format", choices=("csv", "json")),
 ]
 
-_COMMAND_OPTS: dict[str, list[_Opt]] = {
-    "fig1": [
-        _Opt("n_e", "--n-e", int, True, [1, 10, 25], "excited-atom numbers"),
-        _Opt("n", "--n", int, True, [0, 1, 5, 10], "input photon numbers"),
-        *_GRID_OPTS,
-        *_OUT_OPTS,
-    ],
-    "fig2": [
-        _Opt("n_e", "--n-e", int, True, [10, 25], "excited-atom numbers"),
-        _Opt("intensity", "--intensity", float, True, [0.1, 0.5, 0.9], "coherent intensities"),
-        *_GRID_OPTS,
-        *_OUT_OPTS,
-    ],
-    "fig3": [
-        _Opt("n_e_max", "--n-e-max", int, False, 25, "top of the uniform mixture (also the pure n_e)"),
-        _Opt("intensity", "--intensity", float, True, [0.1, 0.5], "coherent intensities"),
-        *_GRID_OPTS,
-        *_OUT_OPTS,
-    ],
-    "wigner": [
-        _Opt("n_e", "--n-e", int, False, 1, "excited atoms of the input state"),
-        _Opt("n", "--n", int, False, 0, "photons of the input state"),
-        *_GRID_OPTS,
-        *_OUT_OPTS,
-    ],
-    "exact-compare": [
-        _Opt("N", "--N", int, True, [500, 1000, 2000, 4000], "atom numbers for the finite-N solver"),
-        _Opt("n_e", "--n-e", int, False, 3, "excited atoms"),
-        _Opt("n", "--n", int, False, 2, "input photons"),
-        *_GRID_OPTS,
-        *_OUT_OPTS,
-    ],
-    "discriminate": [
-        _Opt("n_e", "--n-e", int, False, 25, "excited atoms"),
-        _Opt("observed", "--observed", float, False, None, "observed peak time (required)"),
-        _Opt("n_max", "--n-max", int, False, 10, "largest candidate photon number"),
-        *_OUT_OPTS,
-    ],
-    "sweep": [
-        _Opt("n_e", "--n-e", int, True, [1, 10, 25], "excited-atom numbers"),
-        _Opt("n", "--n", int, True, [0, 1, 5, 10], "input photon numbers"),
-        _Opt("epsilon", "--epsilon", float, False, 0.01, "threshold probability"),
-        *_OUT_OPTS,
-    ],
-}
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The process's one parser: parsing leaves no state in it."""
     parser = _Parser(prog="photonamp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, opts in _COMMAND_OPTS.items():
+    for command, (_, opts) in _COMMANDS.items():
         p = sub.add_parser(command, help=f"emit {command} data")
         p.add_argument("--config", default=None, help="key=value file with option defaults")
         for o in opts:
@@ -169,7 +122,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _config_flags(command: str, path: str) -> list[str]:
     """A config file's entries as flags of the command's subparser."""
     entries = _parse_config_file(path)
-    opts = {o.name: o for o in _COMMAND_OPTS[command]}
+    opts = {o.name: o for o in _COMMANDS[command][1]}
     unknown = set(entries) - set(opts)
     if unknown:
         raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -370,14 +323,51 @@ def _run_sweep(cfg: dict) -> dict:
     return {"header": header, "rows": rows}
 
 
-_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "wigner": _run_wigner,
-    "exact-compare": _run_exact_compare,
-    "discriminate": _run_discriminate,
-    "sweep": _run_sweep,
+# each command's runner, which maps its options' values to a payload, and its options
+_COMMANDS = {
+    "fig1": (_run_fig1, [
+        _Opt("n_e", "--n-e", int, True, [1, 10, 25], "excited-atom numbers"),
+        _Opt("n", "--n", int, True, [0, 1, 5, 10], "input photon numbers"),
+        *_GRID_OPTS,
+        *_OUT_OPTS,
+    ]),
+    "fig2": (_run_fig2, [
+        _Opt("n_e", "--n-e", int, True, [10, 25], "excited-atom numbers"),
+        _Opt("intensity", "--intensity", float, True, [0.1, 0.5, 0.9], "coherent intensities"),
+        *_GRID_OPTS,
+        *_OUT_OPTS,
+    ]),
+    "fig3": (_run_fig3, [
+        _Opt("n_e_max", "--n-e-max", int, False, 25, "top of the uniform mixture (also the pure n_e)"),
+        _Opt("intensity", "--intensity", float, True, [0.1, 0.5], "coherent intensities"),
+        *_GRID_OPTS,
+        *_OUT_OPTS,
+    ]),
+    "wigner": (_run_wigner, [
+        _Opt("n_e", "--n-e", int, False, 1, "excited atoms of the input state"),
+        _Opt("n", "--n", int, False, 0, "photons of the input state"),
+        *_GRID_OPTS,
+        *_OUT_OPTS,
+    ]),
+    "exact-compare": (_run_exact_compare, [
+        _Opt("N", "--N", int, True, [500, 1000, 2000, 4000], "atom numbers for the finite-N solver"),
+        _Opt("n_e", "--n-e", int, False, 3, "excited atoms"),
+        _Opt("n", "--n", int, False, 2, "input photons"),
+        *_GRID_OPTS,
+        *_OUT_OPTS,
+    ]),
+    "discriminate": (_run_discriminate, [
+        _Opt("n_e", "--n-e", int, False, 25, "excited atoms"),
+        _Opt("observed", "--observed", float, False, None, "observed peak time (required)"),
+        _Opt("n_max", "--n-max", int, False, 10, "largest candidate photon number"),
+        *_OUT_OPTS,
+    ]),
+    "sweep": (_run_sweep, [
+        _Opt("n_e", "--n-e", int, True, [1, 10, 25], "excited-atom numbers"),
+        _Opt("n", "--n", int, True, [0, 1, 5, 10], "input photon numbers"),
+        _Opt("epsilon", "--epsilon", float, False, 0.01, "threshold probability"),
+        *_OUT_OPTS,
+    ]),
 }
 
 
@@ -393,9 +383,10 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             file_flags = _config_flags(args.command, args.config)
             args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+        runner, opts = _COMMANDS[args.command]
         cfg = {"command": args.command}
-        cfg.update((o.name, getattr(args, o.name)) for o in _COMMAND_OPTS[args.command])
-        payload = _RUNNERS[args.command](cfg)
+        cfg.update((o.name, getattr(args, o.name)) for o in opts)
+        payload = runner(cfg)
         _emit(cfg, payload)
     except (UsageError, ValueError) as exc:
         # ValueError: a library function rejected an option's value

@@ -33,7 +33,6 @@ routes, and a route that fails falls back to the dense eigenvectors.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -321,12 +320,13 @@ def _pivot_pass(
 
 def _twisted_weights(
     a: np.ndarray, b: np.ndarray, i: int, w: np.ndarray, mass: float = 1.0
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w_k of the tridiagonal matrix T with diagonal a and
     nonzero off-diagonal b (all of them, or one half of the spectrum),
     and the products v[0, k] * v[i, k] of its unit eigenvectors, in O(dim)
-    memory; the products are None when the computed first components fail
-    sum_k v[0, k]^2 = mass, which is 1 for the whole spectrum.
+    memory. Raises FloatingPointError, with the residual, when the computed
+    first components miss sum_k v[0, k]^2 = mass, which is 1 for the whole
+    spectrum.
 
     Each eigenvector x solves a twisted factorization of T - w_k
     (Dhillon & Parlett, SIMAX 25 (2004) 858): with x_r = 1 at the twist r,
@@ -337,27 +337,25 @@ def _twisted_weights(
     so the weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the
     squared first component of Golub & Welsch (1969). The top-down pass
     retires eigenvalues whose bound |x_0/x_j| on the weight falls below
-    _NEGLIGIBLE; a floating-point fault in either pass returns None. The
-    twist is the deepest point of the eigenvalue's classical region,
-    argmin_j |w - a_j| - (b_{j-1} + b_j), or the next index where that has
-    the smaller twist element gamma = d_r + p_r - (a_r - w), that is the
-    larger |x_r|. The eigenvalues come back sorted by their twist, so each
-    step of a pass works on one contiguous slice.
+    _NEGLIGIBLE; a floating-point fault in either pass propagates as a
+    FloatingPointError. The twist is the deepest point of the eigenvalue's
+    classical region, argmin_j |w - a_j| - (b_{j-1} + b_j), or the next
+    index where that has the smaller twist element
+    gamma = d_r + p_r - (a_r - w), that is the larger |x_r|. The
+    eigenvalues come back sorted by their twist, so each step of a pass
+    works on one contiguous slice.
     """
     n = a.size
     reach = np.abs(np.append(b, 0.0)) + np.abs(np.append(0.0, b))  # b_j + b_{j-1}
     r = _deepest_sites(w, a, reach)
     order = np.argsort(r, kind="stable")
     w, r = w[order], r[order]
-    try:
-        top = _pivot_pass(a, b, w, r, i)  # at r and at r + 1
-        # |weight| <= |x_0/x_j|: drop those retired or below _NEGLIGIBLE at either twist
-        keep = np.abs(top[:, 2]).max(axis=0) >= _NEGLIGIBLE
-        w, r, top = w[keep], r[keep], top[..., keep]
-        # the reversed block's index n - 2 - r is r + 1, and n - 1 - r is r
-        bot = _pivot_pass(a[::-1], b[::-1], w[::-1], n - 2 - r[::-1], n - 1 - i, retire=False)
-    except FloatingPointError:  # an overflow met a zero or another overflow
-        return w, None
+    top = _pivot_pass(a, b, w, r, i)  # at r and at r + 1
+    # |weight| <= |x_0/x_j|: drop those retired or below _NEGLIGIBLE at either twist
+    keep = np.abs(top[:, 2]).max(axis=0) >= _NEGLIGIBLE
+    w, r, top = w[keep], r[keep], top[..., keep]
+    # the reversed block's index n - 2 - r is r + 1, and n - 1 - r is r
+    bot = _pivot_pass(a[::-1], b[::-1], w[::-1], n - 2 - r[::-1], n - 1 - i, retire=False)
     bot = bot[::-1, :, ::-1]
     twist = r + np.arange(2)[:, None]
     (d, s, x0, xi), (p, t, _, yi) = top.swapaxes(0, 1), bot.swapaxes(0, 1)
@@ -370,36 +368,37 @@ def _twisted_weights(
     # sum_k v[0, k]^2 = 1 for an orthonormal basis; eigenvectors twisted
     # where they vanish (a zero coupling, or a classical region in two
     # pieces) break it, and the caller falls back to the dense route
-    if not abs(np.dot(v0, v0) - mass) <= _COMPLETENESS_TOL:
-        return w, None
+    residual = abs(np.dot(v0, v0) - mass)
+    if not residual <= _COMPLETENESS_TOL:
+        raise FloatingPointError(f"twisted eigenvectors miss their first-row mass "
+                                 f"by {residual:.3g}")
     return w, v0 * vi
 
 
-def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float] | None:
+def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
     """Eigenvalues lambda > 0 of the tridiagonal matrix with zero diagonal
     and off-diagonal b, and v[0] v[i] and v[0]^2 of its lambda = 0 unit
-    eigenvector (0 for an even dimension); None if B^T B or that vector is
-    not finite, or dpteqr fails. Over even and odd sites the matrix is
-    [[0, B], [B^T, 0]], so lambda are the singular values of the bidiagonal
-    B (Golub & Kahan 1965), the roots of the eigenvalues of B^T B, diagonal
-    b_2k^2 + b_2k+1^2 and off-diagonal b_2k+1 b_2k+2. The lambda = 0 vector
-    is 0 on odd sites and x_2k+2 = -x_2k b_2k / b_2k+1.
+    eigenvector (0 for an even dimension). Raises FloatingPointError where
+    B^T B or that vector overflows or divides by a zero b_2k+1, or where
+    dpteqr fails. Over even and odd sites the matrix is [[0, B], [B^T, 0]],
+    so lambda are the singular values of the bidiagonal B (Golub & Kahan
+    1965), the roots of the eigenvalues of B^T B, diagonal b_2k^2 + b_2k+1^2
+    and off-diagonal b_2k+1 b_2k+2. The lambda = 0 vector is 0 on odd sites
+    and x_2k+2 = -x_2k b_2k / b_2k+1.
     """
     from scipy.linalg.lapack import dpteqr  # deferred, as in eigensystem
 
     c = np.append(b, 0.0)  # b_k, and 0 past the end
     even, odd = c[0:b.size:2], c[1:b.size + 1:2]  # b_2k and b_2k+1 by column of B
     x = np.zeros(0)  # the lambda = 0 eigenvector on the even sites, x_0 = 1
-    with np.errstate(all="ignore"):  # overflow and a zero b_2k+1 fail the check below
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         d, e = even ** 2 + odd ** 2, odd[:-1] * even[1:]
         if b.size % 2 == 0:  # odd dimension
             x = np.cumprod(np.append(1.0, -even / odd))
         norm2 = np.dot(x, x)
-    if not (np.isfinite(d).all() and np.isfinite(e).all() and math.isfinite(norm2)):
-        return None
     sigma2, _, _, info = dpteqr(d, e, np.zeros((1, 1)))
     if info != 0:
-        return None
+        raise FloatingPointError(f"dpteqr failed with info = {info}")
     if x.size == 0:
         return np.sqrt(sigma2), 0.0, 0.0
     return np.sqrt(sigma2), x[i // 2] / norm2 if i % 2 == 0 else 0.0, 1.0 / norm2
@@ -418,12 +417,13 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     `_positive_half`: the weight at -lambda is (-1)^i times that at lambda,
     so the weights double and lambda = 0 is appended with its own weight,
     checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1, v_0(0) at lambda = 0.
-    Every other block twists the eigenvalues of LAPACK's sterf. A route
-    that fails goes straight to the dense eigenvectors: `_positive_half`
-    fails where b^2 overflows (g = 1e160) or a zero coupling makes its
-    lambda = 0 vector infinite, and `_twisted_weights` on a floating-point
-    fault or a failed completeness check, seen only on hand-built blocks
-    with a zero coupling or a split classical region.
+    Every other block twists the eigenvalues of LAPACK's sterf. Either
+    route reports a failure as a FloatingPointError, which `_spectrum`
+    catches in one place and answers with the dense eigenvectors:
+    `_positive_half` raises where b^2 overflows (g = 1e160) or a zero
+    coupling makes its lambda = 0 vector infinite, and `_twisted_weights`
+    on a floating-point fault or a failed completeness check, seen only on
+    hand-built blocks with a zero coupling or a split classical region.
 
     Both twisted routes are limited by the rounding of the eigenvalues,
     about eps * |H| * tau/g in each phase. On blocks of dimension 451 to
@@ -435,19 +435,18 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     dim 225 to 512 and 4e-13 on blocks of dim 513 to 3001.
     """
     a, b = centred.diagonal, centred.off_diagonal
-    if centred.basis.dim > _DENSE_MAX_DIM and not a.any():
-        half = _positive_half(b, i)
-        if half is not None:
-            w, zero_weight, zero_mass = half
-            w, weights = _twisted_weights(a, b, i, w, (1.0 - zero_mass) / 2.0)
-            if weights is not None:
+    if centred.basis.dim > _DENSE_MAX_DIM:
+        try:
+            if not a.any():
+                w, zero_weight, zero_mass = _positive_half(b, i)
+                w, weights = _twisted_weights(a, b, i, w, (1.0 - zero_mass) / 2.0)
                 return np.append(w, 0.0), np.append(2.0 * weights, zero_weight), i % 2
-    elif centred.basis.dim > _DENSE_MAX_DIM:
-        from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
+            from scipy.linalg import eigvalsh_tridiagonal  # deferred, as in eigensystem
 
-        w, weights = _twisted_weights(a, b, i, eigvalsh_tridiagonal(a, b, lapack_driver="sterf"))
-        if weights is not None:
-            return w, weights, None
+            w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
+            return (*_twisted_weights(a, b, i, w), None)
+        except FloatingPointError:  # a failed route: the dense eigenvectors below
+            pass
     w, v = eigensystem(centred)
     return w, v[0, :] * v[i, :], None
 

@@ -6,7 +6,8 @@ Provides:
     argument checks of the public entry points, raising a ValueError that
     names the argument; _twice also rejects a label whose double does not
     convert to a float, and _require_twice_j a rotation with 2j above
-    MAX_TWICE_J (10**5).
+    MAX_TWICE_J (10**5); wigner_d_matrix also rejects 2j above
+    MAX_MATRIX_TWICE_J (2000).
   * HalfInteger: exact half-integer angular-momentum labels (stored as 2x).
   * wigner_small_d / wigner_d_matrix: the spin-j rotation matrix elements
     d^j_{m',m}(beta) about the y axis, read off whole columns
@@ -123,6 +124,10 @@ _FLOAT_RANGE = "converts to a float (about 1.8e308 at most)"
 # a column takes O(2j) time and memory, 0.48 s at 2j = 10**5 and 23 s at
 # 10**6 on a 2-vCPU Xeon, and past sys.maxsize it cannot be allocated at all.
 MAX_TWICE_J = 10**5
+# Largest 2j of a whole rotation matrix: its 2j + 1 columns make (2j+1)^2
+# floats, 0.10 s / 1.9 MB at 2j = 500, 0.45 s / 7.6 MB at 1000 and
+# 2.0 s / 31 MB at 2000 on a 2-vCPU Xeon; at MAX_TWICE_J it would be 80 GB.
+MAX_MATRIX_TWICE_J = 2000
 
 
 def _require_twice_j(tj: int, name: str = "j", total: str = "2j") -> None:
@@ -291,8 +296,11 @@ def wigner_small_d(
 
 def wigner_d_matrix(j: HalfInteger | int | float, beta: float) -> np.ndarray:
     """Full (2j+1) x (2j+1) rotation matrix, rows/columns ordered by
-    ascending m', m in {-j, ..., j}."""
+    ascending m', m in {-j, ..., j}; 2j is at most MAX_MATRIX_TWICE_J."""
     (tj,) = _twice(j=j)
     _require_twice_j(tj)
+    if tj > MAX_MATRIX_TWICE_J:
+        raise _too_large("j", f"2j is at most {MAX_MATRIX_TWICE_J} for a whole matrix, "
+                              f"got 2j = {tj}")
     _require_finite(beta=beta)
     return np.column_stack([_d_column(tj, tm, beta) for tm in range(-tj, tj + 1, 2)])

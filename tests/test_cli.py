@@ -414,7 +414,7 @@ class TestBulkWriters:
 class TestParserReuse:
     def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
         defaults = {c: [(o.name, list(o.default) if o.is_list else o.default) for o in opts]
-                    for c, opts in cli._COMMAND_OPTS.items()}
+                    for c, (_, opts) in cli._COMMANDS.items()}
         conf = tmp_path / "run.cfg"
         conf.write_text("n_e=2,7\nn=3\ntau_max=1.5\nformat=json\n")
         sequence = [
@@ -429,7 +429,7 @@ class TestParserReuse:
             assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
         assert cli._build_parser() is cli._build_parser()
         assert {c: [(o.name, o.default) for o in opts]
-                for c, opts in cli._COMMAND_OPTS.items()} == defaults
+                for c, (_, opts) in cli._COMMANDS.items()} == defaults
 
 
 def python_m_photonamp(*args):

@@ -4,7 +4,8 @@ one is taken, and whose float arithmetic, where it enters any, stay
 finite; a real scalar or a tau grid must be finite, g at least the
 smallest normal float, and an angular-momentum label a multiple of 1/2
 whose double converts to a float, with 2j (n_e + n for a two-mode state)
-at most MAX_TWICE_J = 10**5 where a rotation is built; and a call that
+at most MAX_TWICE_J = 10**5 where a rotation is built (MAX_MATRIX_TWICE_J =
+2000 for a whole rotation matrix); and a call that
 breaks this raises a ValueError whose message starts with the argument's
 name, never an OverflowError or a silent value. A subnormal real scalar or tau point
 gives finite values or a ValueError, and no RuntimeWarning."""
@@ -55,6 +56,7 @@ GRID = tuple(np.array([0.0, 0.5, v]) for v in REAL)
 LABEL = (-1, 0.25, math.nan, math.inf)  # j: a non-negative multiple of 1/2
 PAST_CAP = (50_000.5, 10**20)  # j with 2j past MAX_TWICE_J = 10**5
 QUANTA_PAST_CAP = (100_000, 10**19)  # n_e or n taking n_e + n past MAX_TWICE_J
+PAST_MATRIX = (1000.5,)  # j with 2j past MAX_MATRIX_TWICE_J = 2000, for a whole matrix
 INDEX = (0.25, math.nan, math.inf)  # m, m': any multiple of 1/2
 
 
@@ -160,7 +162,7 @@ CONTRACT = {
     ),
     "wigner_d_matrix": (
         lambda j=1.5, beta=0.3: wigner_d_matrix(j, beta),
-        {"j": LABEL + HUGE + PAST_CAP, "beta": REAL}
+        {"j": LABEL + HUGE + PAST_CAP + PAST_MATRIX, "beta": REAL}
     ),
     # integer labels, so that j = 10**400 passes the parity check
     "wigner_small_d": (

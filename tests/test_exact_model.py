@@ -364,6 +364,10 @@ class TestTwistedWeights:
         for i in (0, 1, 300):
             dense, twisted = both_paths(monkeypatch, h, i, TAU_16, falls_back=True)
             np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        a = h.diagonal - np.mean(h.diagonal)
+        with pytest.raises(FloatingPointError, match="^twisted eigenvectors miss their first-row "
+                                                     r"mass by \d"):
+            exact_model._twisted_weights(a, h.off_diagonal, 0, _sterf(h))
 
     def test_large_sector_keeps_no_quadratic_memory(self):
         # dense eigenvectors of this block alone would take 122 MB
@@ -477,16 +481,16 @@ def _assert_same_pass(a, b, w, stop, i, retire=True):
     return retired
 
 
-def _pass_arguments(h, i, w=None):
+def _pass_arguments(h, i, w=None, mass=1.0):
     """The arguments of the top-down and the reversed _pivot_pass call that
-    _twisted_weights makes for initial index i, with the eigenvalues w, or
-    by default all of them."""
+    _twisted_weights makes for initial index i, with the eigenvalues w and
+    their first-row mass, or by default all of them and 1."""
     calls, real = [], exact_model._pivot_pass
     w = _sterf(h) if w is None else w
     with pytest.MonkeyPatch.context() as m:
         m.setattr(exact_model, "_pivot_pass",
                   lambda *args, **kwargs: calls.append((args, kwargs)) or real(*args, **kwargs))
-        exact_model._twisted_weights(h.diagonal - np.mean(h.diagonal), h.off_diagonal, i, w)
+        exact_model._twisted_weights(h.diagonal - np.mean(h.diagonal), h.off_diagonal, i, w, mass)
     assert [kwargs for _, kwargs in calls] == [{}, {"retire": False}]
     return calls
 
@@ -597,8 +601,8 @@ class TestPivotPass:
         # the positive half of the spectrum, as exact_projection_probability
         # twists it: 1,500 states, every twist at site 1500
         h = build_sector(10**6, 3000)
-        w = exact_model._positive_half(h.off_diagonal, 1000)[0]
-        (args, _), _ = _pass_arguments(h, 1000, w)
+        w, _, zero_mass = exact_model._positive_half(h.off_diagonal, 1000)
+        (args, _), _ = _pass_arguments(h, 1000, w, (1.0 - zero_mass) / 2.0)
         got, want = exact_model._pivot_pass(*args), reference_pivot_pass(*args)
         retired = _retired(got)
         assert got[..., ~retired].tobytes() == want[..., ~retired].tobytes()
@@ -636,8 +640,11 @@ def _zero_coupling(site):
 def _dense_fallback(monkeypatch, h, i, tau):
     """Probabilities with the half-spectrum route failing, which sends a
     resonant block to the dense eigenvectors."""
+    def fail(b, i):
+        raise FloatingPointError("overflow encountered in square")
+
     with monkeypatch.context() as m:
-        m.setattr(exact_model, "_positive_half", lambda b, i: None)
+        m.setattr(exact_model, "_positive_half", fail)
         return exact_projection_probability(h, h.basis.states[i], tau).values
 
 
@@ -700,6 +707,9 @@ class TestHalfSpectrum:
         # a zero b_2k makes B singular, which fails the twisted completeness
         # check; a zero b_2k+1 makes the lambda = 0 eigenvector infinite
         h = _zero_coupling(site)
+        if site % 2:
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                exact_model._positive_half(h.off_diagonal, 0)
         calls, half = [], exact_model._positive_half
         monkeypatch.setattr(exact_model, "_positive_half",
                             lambda b, i: calls.append(i) or half(b, i))
@@ -716,12 +726,28 @@ class TestHalfSpectrum:
     def test_overflowing_square_falls_back(self, monkeypatch):
         # b^2 overflows at g = 1e160; scaled time keeps the probabilities of g = 1
         h = build_sector(10**6, 600, g=1e160)
-        assert exact_model._positive_half(h.off_diagonal, 0) is None
+        with pytest.raises(FloatingPointError):
+            exact_model._positive_half(h.off_diagonal, 0)
         for i in (0, 1, 300):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_array_equal(got, _dense_fallback(monkeypatch, h, i, TAU_16))
             want = exact_projection_probability(RESONANT["dim-601"](), h.basis.states[i], TAU_16)
             np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_failed_dpteqr_falls_back(self, monkeypatch):
+        # no build_sector block makes dpteqr report a failure; one that did
+        # must take the dense eigenvectors, once per call
+        h = RESONANT["dim-601"]()
+        real = lapack.dpteqr
+        monkeypatch.setattr(lapack, "dpteqr", lambda *args: (*real(*args)[:3], 1))
+        with pytest.raises(FloatingPointError, match="^dpteqr failed with info = 1$"):
+            exact_model._positive_half(h.off_diagonal, 0)
+        dense = _count_dense_calls(monkeypatch)
+        for i in (0, 1, 300):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            assert len(dense) == 1
+            assert got.tobytes() == _dense_fallback(monkeypatch, h, i, TAU_16).tobytes()
+            dense.clear()
 
     @pytest.mark.parametrize("block,twisted", [
         (lambda: _zero_coupling(300), True),  # B singular: the twisted check fails

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonamp import numerics
 from photonamp.numerics import (
+    MAX_MATRIX_TWICE_J,
     MAX_TWICE_J,
     HalfInteger,
     log_binomial,
@@ -170,6 +172,23 @@ class TestWignerSmallD:
             with pytest.raises(ValueError, match=f"^j must be small enough that 2j is at "
                                                  f"most {MAX_TWICE_J}, got 2j = "):
                 call()
+
+    def test_matrix_past_its_bound_is_named_before_any_column(self, monkeypatch):
+        # a (2j+1)-square matrix at the column cap would take 80 GB
+        assert MAX_MATRIX_TWICE_J >= 1000
+        inside = wigner_d_matrix(MAX_MATRIX_TWICE_J / 2, 0.0)
+        assert inside.shape == (MAX_MATRIX_TWICE_J + 1,) * 2
+        assert np.array_equal(inside, np.eye(MAX_MATRIX_TWICE_J + 1))
+
+        def no_column(*args):
+            raise AssertionError("built a column past the matrix bound")
+
+        monkeypatch.setattr(numerics, "_d_column", no_column)
+        for j in (MAX_MATRIX_TWICE_J / 2 + 0.5, MAX_TWICE_J // 2):
+            with pytest.raises(ValueError, match=f"^j must be small enough that 2j is at most "
+                                                 f"{MAX_MATRIX_TWICE_J} for a whole matrix, "
+                                                 f"got 2j = {int(2 * j)}$"):
+                wigner_d_matrix(j, 0.3)
 
     @pytest.mark.parametrize("twice_j", [0, 1, 2, 5, 9, 12])
     def test_matches_matrix_exponential(self, twice_j):
