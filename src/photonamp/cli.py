@@ -30,6 +30,7 @@ import numpy as np
 from .ensembles import (
     AtomicMixture,
     CoherentInput,
+    _require_epsilon,
     coherent_projection_probability,
     discriminate_photon_number,
     fwhm,
@@ -309,6 +310,7 @@ def _run_discriminate(cfg: dict) -> dict:
 
 
 def _run_sweep(cfg: dict) -> dict:
+    _require_epsilon(cfg["epsilon"])  # so that only a row's peak can refuse it below
     header = ["n_e", "n", "tau_peak", "tau_threshold", "p_peak"]
     rows = []
     for a in cfg["n_e"]:

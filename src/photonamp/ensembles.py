@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 POISSON_TAIL_BOUND = 1e-12
+# Most weights photon_weights() builds (80 MB); intensity 1e6 needs 1,007,044.
+MAX_PHOTON_WEIGHTS = 10**7
 
 
 def _poisson_tail(nmax: int, intensity: float) -> float:
@@ -61,32 +63,23 @@ class CoherentInput:
     """Coherent radiation of mean photon number `intensity` = |alpha|^2.
 
     The detection curves and the gain sum the whole Poisson photon-number
-    series in closed form, so they involve no truncation. truncation_nmax
-    bounds only the explicit weights of photon_weights(); it is auto-chosen
-    (or validated) so the discarded tail is below 1e-12. The scheme is
+    series in closed form, so they involve no truncation. truncation_nmax,
+    the cut below which the explicit weights of photon_weights() leave a
+    tail under 1e-12, is computed only when it is read. The scheme is
     formulated for weak light; intensities >= 1 are allowed but flagged via
     in_design_regime.
     """
 
     intensity: float
-    truncation_nmax: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.intensity >= 0.0 and math.isfinite(self.intensity)):
             raise ValueError(f"intensity must be a finite non-negative real: {self.intensity!r}")
-        if self.truncation_nmax is None:
-            object.__setattr__(self, "truncation_nmax", _auto_truncation(self.intensity))
-            return
-        (nmax,) = _require_whole(truncation_nmax=self.truncation_nmax)
-        if nmax >= np.iinfo(np.intp).max:
-            raise _too_large("truncation_nmax",
-                             f"its weights fit in one array (below {np.iinfo(np.intp).max})")
-        object.__setattr__(self, "truncation_nmax", nmax)
-        if _poisson_tail(nmax, self.intensity) >= POISSON_TAIL_BOUND:
-            raise ValueError(
-                f"truncation_nmax={self.truncation_nmax} leaves a Poisson tail "
-                f">= {POISSON_TAIL_BOUND} at intensity {self.intensity}"
-            )
+
+    @property
+    def truncation_nmax(self) -> int:
+        """Smallest photon number whose Poisson tail beyond it is below 1e-12."""
+        return _auto_truncation(self.intensity)
 
     @property
     def in_design_regime(self) -> bool:
@@ -95,7 +88,11 @@ class CoherentInput:
 
     def photon_weights(self) -> np.ndarray:
         """Poisson weights exp(-intensity) * intensity^n / n! for n <= nmax."""
-        ns = np.arange(self.truncation_nmax + 1)
+        nmax = self.truncation_nmax
+        if nmax + 1 > MAX_PHOTON_WEIGHTS:
+            raise _too_large("intensity", f"photon_weights() needs at most {MAX_PHOTON_WEIGHTS} "
+                                          f"weights (80 MB), got {self.intensity!r}")
+        ns = np.arange(nmax + 1)
         return np.exp(xlogy(ns, self.intensity) - self.intensity - gammaln(ns + 1))
 
 
@@ -287,13 +284,18 @@ def perception_time(n_e: int, n: int) -> float:
     return math.acos(math.sqrt(n / (n + n_e)))
 
 
+def _require_epsilon(epsilon: float) -> None:
+    """A threshold probability must be finite and positive."""
+    _require_finite(epsilon=epsilon)
+    if not 0.0 < epsilon:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 def threshold_time(n_e: int, n: int, epsilon: float = 0.01) -> float:
     """Earliest scaled time at which the detection probability reaches
     epsilon, located by bisection on the rising flank (the probability
     increases monotonically up to the perception time)."""
-    _require_finite(epsilon=epsilon)
-    if not 0.0 < epsilon:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _require_epsilon(epsilon)
     tau_peak = perception_time(n_e, n)
     peak = ground_projection_probability(n_e, n, tau_peak)
     if epsilon >= peak:

@@ -15,19 +15,20 @@ binomial form
 
 which `ground_projection_probability` evaluates in log space, while
 `evolve_fock` produces the full amplitude vector through the spin-(j)
-rotation kernel with j = (n_e+n)/2.
+rotation kernel with j = (n_e+n)/2. The model is resonant, and the
+amplitudes leave out the global phase tau*(omega*(n_e+n) - omega0*N/2) of
+the full Hamiltonian, which no detection probability reads.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_FLOAT_RANGE, _d_column, _require_finite, _require_twice_j,
-                       _require_whole, _too_large, log_binomial)
+from .numerics import (_d_column, _require_finite, _require_twice_j, _require_whole,
+                       _too_large, log_binomial)
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -61,31 +62,21 @@ class TwoModeFockState:
 
 @dataclass(frozen=True)
 class HpEvolutionParams:
-    """Scaled-time evolution parameters.
+    """Scaled time tau = g*t and the atom number of the bosonized mapping.
 
-    The bosonized model is used on resonance only, so omega_over_g and
-    omega0_over_g must agree (they feed a global phase). N_atoms enters
-    validity monitoring: a warning is issued when the total quanta exceed
-    validity_ratio * N_atoms, since the mapping assumes n_e + n << N.
+    The model is the resonant beam splitter; detuning is supported only by
+    the exact sector solver. N_atoms enters validity monitoring alone:
+    evolve_fock warns when the total quanta exceed N_atoms / 100, since the
+    mapping assumes n_e + n << N.
     """
 
     tau: float
-    omega_over_g: float = 1.0
-    omega0_over_g: float = 1.0
     N_atoms: int = 10**6
-    validity_ratio: float = 0.01
 
     def __post_init__(self) -> None:
-        _require_finite(tau=self.tau, omega_over_g=self.omega_over_g,
-                        omega0_over_g=self.omega0_over_g, validity_ratio=self.validity_ratio)
+        _require_finite(tau=self.tau)
         if not math.isfinite(2.0 * float(self.tau)):
             raise ValueError(f"tau must keep the rotation angle 2*tau finite, got {self.tau!r}")
-        if self.omega_over_g != self.omega0_over_g:
-            raise ValueError(
-                "beam-splitter reduction assumes resonance: "
-                f"omega_over_g={self.omega_over_g} != omega0_over_g={self.omega0_over_g} "
-                "(detuning is supported only by the exact sector solver)"
-            )
         (N_atoms,) = _require_whole(N_atoms=self.N_atoms)
         object.__setattr__(self, "N_atoms", N_atoms)
 
@@ -113,46 +104,37 @@ class AmplitudeVector:
             raise ValueError(f"amplitude vector not normalized: |a|^2 = {norm_sq!r}")
 
     def probability(self, n_e_prime: int) -> float:
-        """|amplitude|^2 of ending in |n_e'; total - n_e'>."""
-        return float(abs(self.amplitudes[n_e_prime]) ** 2)
+        """|amplitude|^2 of ending in |n_e'; total - n_e'>, 0 <= n_e' <= total."""
+        (k,) = _require_whole(n_e_prime=n_e_prime)
+        if k > self.total_quanta:
+            raise ValueError(f"n_e_prime must be at most total_quanta = {self.total_quanta}, "
+                             f"got {n_e_prime!r}")
+        return float(abs(self.amplitudes[k]) ** 2)
 
 
 def evolve_fock(state: TwoModeFockState, params: HpEvolutionParams) -> AmplitudeVector:
-    """Apply the beam-splitter propagator to |n_e; n>.
+    """Apply the beam-splitter propagator exp(-i*tau*(b'a + ba')) to |n_e; n>.
 
-    The amplitude on |n_e'; n'> (with n_e' + n' = n_e + n) is a global
-    phase times d^j_{m',m}(2*tau) * exp(+i*pi*(m'-m)/2), where
-    j = (n_e+n)/2, m = (n_e-n)/2 and m' = (n_e'-n')/2: the beam-splitter
-    generator is 2*J_x in the two-mode spin realization, and
+    The amplitude on |n_e'; n'> (with n_e' + n' = n_e + n) is
+    d^j_{m',m}(2*tau) * exp(+i*pi*(m'-m)/2) = d^j_{m',m}(2*tau) * i^(n_e'-n_e),
+    where j = (n_e+n)/2, m = (n_e-n)/2 and m' = (n_e'-n')/2: the
+    beam-splitter generator is 2*J_x in the two-mode spin realization, and
     J_x = exp(+i*pi*J_z/2) J_y exp(-i*pi*J_z/2) turns the J_y rotation
     kernel into the mode-hopping propagator (verified against a dense
     matrix exponential of the hopping generator in the tests).
     """
-    total, tau = state.total_quanta, params.tau
+    total = state.total_quanta
     _require_twice_j(total, "n_e" if state.n_e >= state.n else "n", "n_e + n")
-    try:
-        crowded = total > params.validity_ratio * params.N_atoms
-        phase = float(tau) * (
-            params.omega_over_g * total - params.omega0_over_g * params.N_atoms / 2.0
-        )
-    except OverflowError:  # N_atoms past the float range; total is capped above
-        raise _too_large("N_atoms", f"it {_FLOAT_RANGE}") from None
-    if crowded:
+    if 100 * total > params.N_atoms:
         warnings.warn(
             f"bosonized model used with n_e + n = {total} quanta for "
             f"N_atoms = {params.N_atoms}; results carry O(quanta/N) error",
             stacklevel=2,
         )
-    if not math.isfinite(phase):
-        raise ValueError(
-            f"tau={tau!r} overflows the global phase tau*(omega*total - omega0*N_atoms/2)"
-        )
-    global_phase = cmath.exp(-1j * phase)
-    d = _d_column(total, state.n_e - state.n, 2.0 * tau)
+    d = _d_column(total, state.n_e - state.n, 2.0 * params.tau)
     # exp(i pi (m' - m) / 2) = i^(n_e' - n_e), taken exactly
     quarter_turns = np.array([1, 1j, -1, -1j])[(np.arange(total + 1) - state.n_e) % 4]
-    amps = global_phase * d * quarter_turns
-    return AmplitudeVector(total_quanta=total, amplitudes=amps)
+    return AmplitudeVector(total_quanta=total, amplitudes=d * quarter_turns)
 
 
 def _log_binomial_of(n_e: int, n: int) -> float:

@@ -193,6 +193,22 @@ class TestSweep:
         assert row_1_0[2] == pytest.approx(math.pi / 2, abs=1e-10)
         assert row_1_0[3] == pytest.approx(math.asin(0.1), abs=1e-9)
 
+    @pytest.mark.parametrize("eps,why", [("0", "positive"), ("-1", "positive"),
+                                         ("nan", "finite"), ("inf", "finite")])
+    def test_bad_epsilon_is_a_usage_error(self, eps, why, capsys):
+        # these used to exit 0 with NaN in every tau_threshold cell
+        assert run(["sweep", f"--epsilon={eps}"]) == 1
+        assert f"epsilon must be {why}" in capsys.readouterr().err
+
+    def test_epsilon_above_a_peak_leaves_that_row_nan(self, tmp_path):
+        out = tmp_path / "s.csv"
+        # p_peak is 1 at (1, 0) and 0.5 at (1, 1)
+        assert run(["sweep", "--n-e", "1", "--n", "0", "1", "--epsilon", "0.6",
+                    "--output", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data[0, 3] == pytest.approx(math.asin(math.sqrt(0.6)), abs=1e-9)
+        assert math.isnan(data[1, 3])
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):

@@ -48,7 +48,6 @@ from photonamp import (
 TAU = np.linspace(0.0, math.pi, 64)
 COUNT = (-1, 2.5, math.nan, math.inf)
 HUGE = (10**400, 1e308)  # whole counts past a float, or past a finite log-factorial
-PAST_FLOAT = (10**400,)  # evolve_fock's N_atoms, where 1e308 is still a valid count
 REAL = (math.nan, math.inf, -math.inf)  # listed first for every real scalar
 SUBNORMAL = 5e-324
 WIDE = (1e308, -1e308)  # finite, but past the float range once multiplied
@@ -66,24 +65,23 @@ def block_grids(size):
 
 # Result records, returned rather than taken as input.
 EXEMPT = {"AmplitudeVector", "DiscriminationReport", "ProbabilityTrace"}
+# Init fields that are records, which check themselves, rather than arguments.
+RECORD_FIELDS = {("SectorHamiltonian", "basis")}
 
 # public name -> (call with every argument defaulted to a valid value,
 #                 {argument as the message names it: bad values})
 CONTRACT = {
     "AtomicMixture": (lambda n_e_max=3: AtomicMixture(n_e_max), {"n_e_max": COUNT}),
     "CoherentInput": (
-        lambda intensity=0.1, truncation_nmax=30: CoherentInput(intensity, truncation_nmax),
-        {"intensity": REAL, "truncation_nmax": COUNT + HUGE},
+        lambda intensity=0.1: CoherentInput(intensity), {"intensity": REAL},
     ),
     "HalfInteger": (
         lambda x=1.5, twice_value=3: (HalfInteger.of(x), HalfInteger(twice_value)),
         {"x": INDEX + HUGE, "twice_value": (2.5, math.nan)},
     ),
     "HpEvolutionParams": (
-        lambda tau=0.3, omega_over_g=1.0, omega0_over_g=1.0, N_atoms=100, validity_ratio=0.01:
-        HpEvolutionParams(tau, omega_over_g, omega0_over_g, N_atoms, validity_ratio),
-        {"tau": REAL, "omega_over_g": REAL, "omega0_over_g": REAL,
-         "N_atoms": COUNT + (0,), "validity_ratio": REAL},
+        lambda tau=0.3, N_atoms=100: HpEvolutionParams(tau, N_atoms),
+        {"tau": REAL, "N_atoms": COUNT + (0,)},
     ),
     "SectorBasis": (
         lambda N_atoms=4, total_excitation=2: SectorBasis(N_atoms, total_excitation),
@@ -116,10 +114,8 @@ CONTRACT = {
     "eigensystem": (lambda: eigensystem(build_sector(10, 3)), {}),
     # through the records it takes
     "evolve_fock": (
-        lambda n_e=2, n=1, tau=0.3, N_atoms=10**6: evolve_fock(
-            TwoModeFockState(n_e, n), HpEvolutionParams(tau, N_atoms=N_atoms)),
-        {"n_e": COUNT + QUANTA_PAST_CAP, "n": COUNT + QUANTA_PAST_CAP, "tau": REAL,
-         "N_atoms": PAST_FLOAT},
+        lambda n_e=2, n=1, tau=0.3: evolve_fock(TwoModeFockState(n_e, n), HpEvolutionParams(tau)),
+        {"n_e": COUNT + QUANTA_PAST_CAP, "n": COUNT + QUANTA_PAST_CAP, "tau": REAL},
     ),
     "exact_projection_probability": (
         lambda n_e=2, n=1, tau_grid=TAU: exact_projection_probability(
@@ -191,6 +187,22 @@ CASES = [
 def test_table_covers_every_public_name():
     assert set(CONTRACT) | EXEMPT == set(photonamp.__all__)
     assert not set(CONTRACT) & EXEMPT
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in CONTRACT if dataclasses.is_dataclass(getattr(photonamp, n))))
+def test_every_init_field_has_bad_values(name):
+    fields = {f.name for f in dataclasses.fields(getattr(photonamp, name)) if f.init}
+    exempt = {field for record, field in RECORD_FIELDS if record == name}
+    assert fields - exempt <= set(CONTRACT[name][1]), fields - exempt - set(CONTRACT[name][1])
+
+
+def test_evolve_fock_takes_an_N_atoms_past_a_float():
+    # N_atoms enters only the exact integer test of the validity warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(0.3, N_atoms=10**400))
+    assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))

@@ -118,10 +118,34 @@ class TestCoherentInput:
         assert len(calls) <= 200
         assert tail(nmax, 1e10) < ensembles.POISSON_TAIL_BOUND <= tail(nmax - 1, 1e10)
 
-    def test_explicit_truncation_validated(self):
-        CoherentInput(0.1, truncation_nmax=12)  # roomy, fine
-        with pytest.raises(ValueError, match="tail"):
-            CoherentInput(0.9, truncation_nmax=2)
+    def test_truncation_is_computed_only_when_read(self, monkeypatch):
+        def tail(*args):
+            raise AssertionError("the Poisson tail was computed")
+
+        monkeypatch.setattr(ensembles, "_poisson_tail", tail)
+        source = CoherentInput(0.5)
+        coherent_projection_probability(3, source, TAU)
+        mixed_projection_probability(AtomicMixture(3), source, TAU)
+        intensity_gain(3, source, 0.5)
+        intensity_gain(AtomicMixture(3), source, 0.5)
+        with pytest.raises(AssertionError, match="tail"):
+            source.truncation_nmax
+
+    @pytest.mark.parametrize("lam", [1e7, 1e10, 1e300])
+    def test_photon_weights_past_the_bound_name_intensity(self, lam, monkeypatch):
+        # the check fires before any allocation: 1e10 would need about 80 GB
+        def arange(*args):
+            raise AssertionError("photon_weights() allocated past the bound")
+
+        monkeypatch.setattr(ensembles.np, "arange", arange)
+        with pytest.raises(ValueError, match="^intensity must be small enough that "
+                                             "photon_weights\\(\\) needs at most 10000000"):
+            CoherentInput(lam).photon_weights()
+
+    def test_photon_weights_at_intensity_1e6(self):
+        weights = CoherentInput(1e6).photon_weights()
+        assert weights.size == 1_007_044
+        assert 1.0 - weights.sum() < 1e-9
 
     def test_regime_flag(self):
         assert CoherentInput(0.5).in_design_regime
@@ -412,7 +436,6 @@ class TestThresholdTime:
     "make,name",
     [
         (lambda: AtomicMixture(2.5), "n_e_max"),
-        (lambda: CoherentInput(0.1, truncation_nmax=30.5), "truncation_nmax"),
         (lambda: perception_time(2.5, 1), "n_e"),
         (lambda: perception_time(math.nan, 1), "n_e"),
         (lambda: threshold_time(2.5, 1), "n_e"),
@@ -421,7 +444,7 @@ class TestThresholdTime:
         (lambda: coherent_projection_probability(2.5, CoherentInput(0.1), TAU), "n_e"),
         (lambda: intensity_gain(2.5, CoherentInput(0.1), 0.5), "n_e"),
     ],
-    ids=["mixture", "truncation", "perception", "perception-nan", "threshold",
+    ids=["mixture", "perception", "perception-nan", "threshold",
          "discriminate-n_e", "discriminate-n_max", "coherent", "gain"],
 )
 def test_fractional_count_rejected(make, name):

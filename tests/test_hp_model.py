@@ -1,5 +1,6 @@
 """Beam-splitter evolution tests, cross-checked against a brute-force
 matrix exponential of the two-mode hopping generator."""
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -31,24 +32,28 @@ def hopping_propagator(total: int, tau: float) -> np.ndarray:
     return expm(-1j * tau * gen)
 
 
-def no_phase_params(tau: float) -> HpEvolutionParams:
-    return HpEvolutionParams(tau=tau, omega_over_g=0.0, omega0_over_g=0.0)
-
-
 class TestStateAndParams:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             TwoModeFockState(-1, 0)
         assert TwoModeFockState(3, 2).total_quanta == 5
 
-    def test_detuned_params_rejected(self):
-        with pytest.raises(ValueError, match="resonance"):
-            HpEvolutionParams(tau=0.1, omega_over_g=1.0, omega0_over_g=1.2)
+    def test_params_keep_only_tau_and_N_atoms(self):
+        assert [f.name for f in dataclasses.fields(HpEvolutionParams)] == ["tau", "N_atoms"]
 
     def test_validity_warning(self):
         params = HpEvolutionParams(tau=0.1, N_atoms=100)
         with pytest.warns(UserWarning, match="O\\(quanta/N\\)"):
             evolve_fock(TwoModeFockState(2, 0), params)
+
+    def test_validity_warning_starts_past_one_percent(self):
+        # the exact test 100 * (n_e + n) > N_atoms, with no float rounding at 10**30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve_fock(TwoModeFockState(3, 4), HpEvolutionParams(0.1, N_atoms=700))
+            evolve_fock(TwoModeFockState(1, 0), HpEvolutionParams(0.1, N_atoms=10**30))
+        with pytest.warns(UserWarning, match="O\\(quanta/N\\)"):
+            evolve_fock(TwoModeFockState(3, 4), HpEvolutionParams(0.1, N_atoms=699))
 
     @pytest.mark.parametrize(
         "make,name",
@@ -73,23 +78,6 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="normalized"):
             AmplitudeVector(total_quanta=1, amplitudes=np.array([math.nan, 0.0]))
 
-    @pytest.mark.parametrize(
-        "make,name",
-        [
-            # equal infinities pass the resonance check and gave NaN amplitudes
-            (lambda: evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(
-                0.1, omega_over_g=math.inf, omega0_over_g=math.inf)), "omega_over_g"),
-            (lambda: HpEvolutionParams(0.1, omega_over_g=1.0, omega0_over_g=math.nan),
-             "omega0_over_g"),
-            # NaN turned the validity warning off
-            (lambda: HpEvolutionParams(0.1, validity_ratio=math.nan), "validity_ratio"),
-        ],
-        ids=["omega_over_g", "omega0_over_g", "validity_ratio"],
-    )
-    def test_non_finite_params_rejected(self, make, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            make()
-
     @pytest.mark.parametrize("n_e,n,name", [(10**19, 0, "n_e"), (3, 10**19, "n"),
                                             (50_001, 50_000, "n_e")])
     def test_quanta_past_the_rotation_cap_name_the_larger_count(self, n_e, n, name):
@@ -103,10 +91,25 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="^tau must keep the rotation angle 2\\*tau finite"):
             evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=tau))
 
-    def test_overflowing_global_phase_names_tau(self):
-        # 2 tau is finite, tau * N_atoms / 2 is not
-        with pytest.raises(ValueError, match="^tau=1e\\+307 overflows the global phase"):
-            evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=1e307))
+    def test_huge_finite_tau_evolves_to_a_unit_vector(self):
+        # 2 tau is finite; no product with N_atoms is formed
+        out = evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=1e307))
+        assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_e_prime,why",
+        [(-1, "non-negative"), (4, "at most total_quanta = 3"), (2.5, "a whole number"),
+         (math.nan, "a whole number")],
+    )
+    def test_probability_rejects_an_index_outside_the_sector(self, n_e_prime, why):
+        # -1 used to wrap to n_e' = total, and 2.5 or total + 1 raised a bare IndexError
+        out = evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=0.3))
+        with pytest.raises(ValueError, match=f"^n_e_prime must be {why}"):
+            out.probability(n_e_prime)
+
+    def test_probability_takes_a_whole_float_index(self):
+        out = evolve_fock(TwoModeFockState(2, 1), HpEvolutionParams(tau=0.3))
+        assert out.probability(3.0) == out.probability(3) == abs(out.amplitudes[3]) ** 2
 
 
 class TestEvolveFock:
@@ -136,7 +139,7 @@ class TestEvolveFock:
     )
     def test_matches_expm_oracle(self, tau, n_e, n):
         total = n_e + n
-        got = evolve_fock(TwoModeFockState(n_e, n), no_phase_params(tau)).amplitudes
+        got = evolve_fock(TwoModeFockState(n_e, n), HpEvolutionParams(tau=tau)).amplitudes
         want = hopping_propagator(total, tau)[:, n_e]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
