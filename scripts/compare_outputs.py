@@ -38,6 +38,10 @@ INVOCATIONS = [
     ["exact-compare", "--format", "json"],
     ["sweep", "--format", "json"],
     ["fig3", "--format", "json", "--grid-points", "2049"],
+    # a dim-701 resonant sector: the half-spectrum twisted route, which the
+    # default E = 5 never reaches
+    ["exact-compare", "--N", "40000", "80000", "160000", "320000", "--n-e", "300", "--n", "400",
+     "--grid-points", "256", "--format", "json"],
 ]
 OUTPUT_PATH = re.compile(rb'"output_path": "(?:[^"\\]|\\.)*"')
 

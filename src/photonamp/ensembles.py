@@ -305,10 +305,11 @@ def threshold_time(n_e: int, n: int, epsilon: float = 0.01) -> float:
         )
     if n_e == 0:
         return 0.0  # instant response: probability starts at 1 and falls
-    # bracket the first crossing on a coarse grid of the rising flank
+    # bracket the first crossing on a coarse grid of the rising flank; where
+    # the grid's rounding of the peak falls below epsilon, the last step
     grid = np.linspace(0.0, tau_peak, 257)
     values = ground_projection_probabilities(n_e, n, grid)
-    hit = int(np.argmax(values >= epsilon))
+    hit = int(np.argmax(values >= epsilon)) or grid.size - 1
     lo, hi = grid[hit - 1], grid[hit]
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)

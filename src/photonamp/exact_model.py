@@ -5,13 +5,15 @@ The full Hamiltonian
     H = omega * a'a + omega0 * S_z + (g/sqrt(N)) * (S+ a + S- a')
 
 conserves a'a + S_z + N/2, so each total-excitation value E spans a block
-of dimension min(N, E) + 1 with basis |n_e; n = E - n_e>. Within a block
-the matrix is real symmetric tridiagonal: the diagonal holds the energies
-omega * n + omega0 * n_e above the all-ground state (the constant
--omega0 * N/2 of S_z is a global phase, left out so no entry rounds at
-size N) and the raising/lowering terms couple neighbors (n_e, n) <->
-(n_e + 1, n - 1) with element g * sqrt(n * (N - n_e) * (n_e + 1) / N) in
-the symmetric S = N/2 sector.
+of dimension min(N, E) + 1 with basis |n_e; n = E - n_e>. Energies here
+are in units of g and times in units of 1/g: a block is H/g, with omega
+and omega0 standing for omega/g and omega0/g, and it evolves in the scaled
+time tau = g*t. Within a block the matrix is real symmetric tridiagonal:
+the diagonal holds the energies omega * n + omega0 * n_e above the
+all-ground state (the constant -omega0 * N/2 of S_z is a global phase,
+left out so no entry rounds at size N) and the raising/lowering terms
+couple neighbors (n_e, n) <-> (n_e + 1, n - 1) with element
+sqrt(n * (N - n_e) * (n_e + 1) / N) in the symmetric S = N/2 sector.
 
 This module is the finite-N reference against which the bosonized
 beam-splitter picture is checked: `hp_deviation` measures how far the
@@ -34,7 +36,7 @@ routes, and a route that fails falls back to the dense eigenvectors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,9 +75,14 @@ _NEGLIGIBLE = 1e-20
 # Allowed |sum_k v[0, k]^2 - 1| of the twisted eigenvectors; the tested
 # build_sector blocks, dim 451 to 10^4, stay below 2e-14.
 _COMPLETENESS_TOL = 1e-10
-# Largest allowed phase error bound eps * |H_centred| * max|tau| / g; the
+# Largest allowed phase error bound eps * |H_centred| * max|tau|; the
 # tested blocks and the benchmark's grids stay below 1e-11.
 _PHASE_TOL = 1e-8
+# Largest sector dimension min(N_atoms, E) + 1 that build_sector builds. At
+# this bound one resonant solve on a 256-point grid takes 0.51 s and peaks
+# at 3.1 MB by tracemalloc (a detuned one 1.8 s), on a 2-vCPU Xeon with one
+# BLAS thread; the time grows as dim^2 (1.8 s resonant at dim 20001).
+MAX_SECTOR_DIM = 10**4 + 1
 
 
 @dataclass(frozen=True)
@@ -88,20 +95,21 @@ class SectorBasis:
 
     N_atoms: int
     total_excitation: int
-    states: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         N, E = _require_whole(N_atoms=self.N_atoms, total_excitation=self.total_excitation)
         object.__setattr__(self, "N_atoms", N)
         object.__setattr__(self, "total_excitation", E)
-        dim = min(N, E) + 1
-        object.__setattr__(
-            self, "states", tuple((n_e, E - n_e) for n_e in range(dim))
-        )
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return min(self.N_atoms, self.total_excitation) + 1
+
+    @property
+    def states(self) -> tuple[tuple[int, int], ...]:
+        """Every (n_e, n) of the block, built on read."""
+        E = self.total_excitation
+        return tuple((n_e, E - n_e) for n_e in range(self.dim))
 
     def index_of(self, n_e: int, n: int) -> int:
         """Position of |n_e; n> in the block; raises if outside it."""
@@ -116,31 +124,23 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Real symmetric tridiagonal block; off_diagonal[k] couples basis
-    states k and k+1. Arrays are frozen after construction; they, omega and
-    omega0 must be finite, and g finite and at least the smallest normal
-    float (a subnormal g would round every coupling g * c to a few bits)."""
+    """Real symmetric tridiagonal block, in units of g; off_diagonal[k]
+    couples basis states k and k+1. The arrays must be finite and of
+    lengths dim and dim - 1, and are frozen after construction."""
 
     basis: SectorBasis
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    omega: float
-    omega0: float
-    g: float
 
     def __post_init__(self) -> None:
         diag = np.asarray(self.diagonal, dtype=float)
         off = np.asarray(self.off_diagonal, dtype=float)
-        if diag.shape != (self.basis.dim,) or off.shape != (self.basis.dim - 1,):
-            raise ValueError(
-                f"tridiagonal shapes inconsistent with dim {self.basis.dim}: "
-                f"{diag.shape}, {off.shape}"
-            )
-        _require_finite(omega=self.omega, omega0=self.omega0, g=self.g,
-                        diagonal=diag, off_diagonal=off)
-        if not self.g >= sys.float_info.min:
-            raise ValueError(f"g must be positive and normal (at least {sys.float_info.min}), "
-                             f"got {self.g!r}")
+        dim = self.basis.dim
+        for name, array, size in (("diagonal", diag, dim), ("off_diagonal", off, dim - 1)):
+            if array.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},) for a basis of "
+                                 f"dimension {dim}, got {array.shape}")
+        _require_finite(diagonal=diag, off_diagonal=off)
         diag.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
@@ -156,26 +156,28 @@ class SectorHamiltonian:
 
 
 def build_sector(
-    N_atoms: int,
-    E: int,
-    omega: float = 1.0,
-    omega0: float = 1.0,
-    g: float = 1.0,
+    N_atoms: int, E: int, omega: float = 1.0, omega0: float = 1.0
 ) -> SectorHamiltonian:
     """Assemble the excitation-E block for N_atoms in the symmetric spin
-    sector S = N/2.
+    sector S = N/2, with omega and omega0 in units of g.
 
     Diagonal entries are omega*n + omega0*n_e, the energies above the
     all-ground state, without the global phase -omega0*N/2, so detuned
     entries carry no rounding of size eps*N; the coupling between (n_e, n)
     and (n_e+1, n-1) combines the photon annihilation sqrt(n) with the
     collective raising element sqrt((N - n_e)(n_e + 1)), scaled by
-    g/sqrt(N). The product is taken under a single square root so sectors
-    where the coupling is exactly g (E <= 1) come out bit-exact for any N.
+    1/sqrt(N). The product is taken under a single square root so sectors
+    where the coupling is exactly 1 (E <= 1) come out bit-exact for any N.
+    A dimension min(N_atoms, E) + 1 above MAX_SECTOR_DIM raises a
+    ValueError naming the smaller count, before anything is allocated.
     """
     N_atoms, E = _require_whole(N_atoms=N_atoms, E=E)
-    _require_finite(omega=omega, omega0=omega0)  # g is checked by SectorHamiltonian
+    _require_finite(omega=omega, omega0=omega0)
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
+    if basis.dim > MAX_SECTOR_DIM:
+        raise _too_large("E" if E <= N_atoms else "N_atoms",
+                         f"the sector dimension min(N_atoms, E) + 1 is at most "
+                         f"{MAX_SECTOR_DIM}, got {basis.dim}")
     n_e = np.arange(basis.dim, dtype=float)
     k = n_e[:-1]
     with np.errstate(over="raise"):
@@ -190,15 +192,7 @@ def build_sector(
         except FloatingPointError:
             raise _too_large("omega" if abs(omega) >= abs(omega0) else "omega0",
                              "the sector's diagonal stays finite") from None
-    off_diagonal = g * coupling
-    return SectorHamiltonian(
-        basis=basis,
-        diagonal=diagonal,
-        off_diagonal=off_diagonal,
-        omega=omega,
-        omega0=omega0,
-        g=g,
-    )
+    return SectorHamiltonian(basis=basis, diagonal=diagonal, off_diagonal=coupling)
 
 
 def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -420,19 +414,21 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     Every other block twists the eigenvalues of LAPACK's sterf. Either
     route reports a failure as a FloatingPointError, which `_spectrum`
     catches in one place and answers with the dense eigenvectors:
-    `_positive_half` raises where b^2 overflows (g = 1e160) or a zero
-    coupling makes its lambda = 0 vector infinite, and `_twisted_weights`
-    on a floating-point fault or a failed completeness check, seen only on
-    hand-built blocks with a zero coupling or a split classical region.
+    `_positive_half` raises where b^2 overflows (couplings past about
+    1e154) or a zero coupling makes its lambda = 0 vector infinite, and
+    `_twisted_weights` on a floating-point fault or a failed completeness
+    check, seen only on hand-built blocks with a zero coupling or a split
+    classical region.
 
     Both twisted routes are limited by the rounding of the eigenvalues,
-    about eps * |H| * tau/g in each phase. On blocks of dimension 451 to
+    about eps * |H| * tau in each phase. On blocks of dimension 451 to
     651 the general route and the dense one agree within 1e-11 (worst
-    4.5e-12, for a strongly detuned block at tau/g = 30) and each lies
-    within 4e-13 of a 40-digit eigendecomposition where one was made; from
-    dim 225 to 512 the general route lies within 1e-13 of dense expm. The
-    half-spectrum and the general route agree within 1e-13 on blocks of
-    dim 225 to 512 and 4e-13 on blocks of dim 513 to 3001.
+    4.5e-12, for a strongly detuned block, omega = 50 and omega0 = 2, at
+    tau = 3) and each lies within 4e-13 of a 40-digit eigendecomposition
+    where one was made; from dim 225 to 512 the general route lies within
+    1e-13 of dense expm. The half-spectrum and the general route agree
+    within 1e-13 on blocks of dim 225 to 512 and 4e-13 on blocks of dim
+    513 to 3001.
     """
     a, b = centred.diagonal, centred.off_diagonal
     if centred.basis.dim > _DENSE_MAX_DIM:
@@ -456,17 +452,17 @@ def exact_projection_probability(
     initial: tuple[int, int],
     tau_grid: np.ndarray,
 ) -> ProbabilityTrace:
-    """Ground-projection probability |<0; E| exp(-i H tau/g) |n_e; n>|^2
-    on a grid of scaled times (physical time is tau/g).
+    """Ground-projection probability |<0; E| exp(-i H tau) |n_e; n>|^2
+    on a grid of scaled times tau = g*t, with H in units of g.
 
     The target is the all-atoms-ground state carrying every quantum as a
-    photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau/g) over
+    photon. The amplitude is sum_k v[0, k] v[i, k] exp(-i w_k tau) over
     the eigenpairs of the block centred on its mean diagonal, from
     `_spectrum`; over a half spectrum, lambda >= 0, it is a real sum of
     cosines (even i) or sines (odd i). The phases are summed in blocks of
     eigenvalues, so memory stays O(dim + len(tau)) above the dense cutoff.
     A tau_grid that is not finite, or where the bound
-    eps * |H_centred| * max|tau| / g exceeds _PHASE_TOL (1e-8), raises a
+    eps * |H_centred| * max|tau| exceeds _PHASE_TOL (1e-8), raises a
     ValueError naming it before any solve.
     """
     n_e0, n0 = initial
@@ -479,33 +475,21 @@ def exact_projection_probability(
     a, b = centred.diagonal, centred.off_diagonal
     norm = float(np.abs(a).max() + 2.0 * np.abs(b).max(initial=0.0))  # >= |H_centred|
     tau_max = float(np.abs(tau).max(initial=0.0))
-    # tau_max / g first: for a tiny g it overflows to inf, where eps * norm
-    # would underflow to 0 first and pass; inf * 0 is NaN, which fails too
-    if not sys.float_info.epsilon * norm * (tau_max / float(h.g)) <= _PHASE_TOL:
-        raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau|/g "
+    if not sys.float_info.epsilon * norm * tau_max <= _PHASE_TOL:
+        raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau| "
                          f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
     w, weights, parity = _spectrum(centred, i_init)
     # over +-lambda pairs, cosines for even i and sines for odd i
     phase = (np.cos, np.sin)[parity] if parity is not None else lambda x: np.exp(-1j * x)
-    t = tau / h.g
-    step = max(1, _BLOCK // max(t.size, 1))
+    step = max(1, _BLOCK // max(tau.size, 1))
     amps = sum(
-        weights[k:k + step] @ phase(np.outer(w[k:k + step], t))
+        weights[k:k + step] @ phase(np.outer(w[k:k + step], tau))
         for k in range(0, w.size, step)
     )
-    values = np.abs(amps) ** 2
     return ProbabilityTrace(
         tau_grid=tau,
-        values=values,
-        meta={
-            "model": "exact",
-            "N_atoms": h.basis.N_atoms,
-            "n_e": n_e0,
-            "n": n0,
-            "omega": h.omega,
-            "omega0": h.omega0,
-            "g": h.g,
-        },
+        values=np.abs(amps) ** 2,
+        meta={"model": "exact", "N_atoms": h.basis.N_atoms, "n_e": n_e0, "n": n0},
     )
 
 
@@ -516,13 +500,13 @@ def hp_deviation(
     tau_grid: np.ndarray,
 ) -> float:
     """Largest pointwise gap between the exact finite-N probability and the
-    closed binomial form, at resonance (omega = omega0 = 1, g = 1).
+    closed binomial form, at resonance (omega = omega0 = 1).
 
     Sectors with n_e + n <= 1 are exactly beam-splitter-like for every N,
     so their deviation sits at the floating-point floor.
     """
     N_atoms, n_e, n = _require_whole(N_atoms=N_atoms, n_e=n_e, n=n)
     approx = ground_projection_probabilities(n_e, n, tau_grid)  # names a huge n_e or n
-    h = build_sector(N_atoms, n_e + n, omega=1.0, omega0=1.0, g=1.0)
+    h = build_sector(N_atoms, n_e + n)
     exact = exact_projection_probability(h, (n_e, n), tau_grid).values
     return float(np.max(np.abs(exact - approx)))

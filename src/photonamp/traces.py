@@ -17,8 +17,8 @@ class ProbabilityTrace:
     """A detection-probability curve on an ascending tau grid.
 
     meta records what produced the curve (model name, state or mixture
-    parameters, atom number for the exact solver, truncation choices) so
-    emitted files stay self-describing.
+    parameters, atom number for the exact solver) so emitted files stay
+    self-describing.
     """
 
     tau_grid: np.ndarray

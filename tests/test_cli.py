@@ -210,6 +210,16 @@ class TestSweep:
         assert math.isnan(data[1, 3])
 
 
+    def test_threshold_where_no_grid_point_reaches_epsilon(self, tmp_path):
+        # the grid's closed form rounds the (1, 34) peak below this epsilon;
+        # the row used to read 0.0849, where P = 0.197
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--n-e", "1", "--n", "34", "--epsilon", "0.3732240931956903",
+                    "--output", str(out)]) == 0
+        _, data = read_csv(out)
+        assert data[0, 3] == pytest.approx(data[0, 2], abs=1e-8)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -301,6 +311,11 @@ class TestExitCodes:
             (["fig2", "--intensity", "nan", "--grid-points", "4"], "intensity"),
             (["fig3", "--n-e-max", "-1", "--grid-points", "4"], "non-negative"),
             (["exact-compare", "--N", "0", "--grid-points", "4"], "N_atoms"),
+            # used to build a tuple of 10**15 basis states and never finish
+            (["exact-compare", "--N", "1000000000000000", "--n-e", "1000000000000000",
+              "--n", "0", "--grid-points", "4"],
+             "photonamp: error: E must be small enough that the sector dimension "
+             "min(N_atoms, E) + 1 is at most 10001, got 1000000000000001\n"),
             (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
             (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"],
              "photonamp: error: n must be non-negative, got -1\n"),
@@ -308,8 +323,8 @@ class TestExitCodes:
              "photonamp: error: n must be small enough that n_e + n is at most 100000, "
              "got n_e + n = 100003\n"),
         ],
-        ids=["fig1", "fig2", "fig3", "exact-compare", "discriminate", "wigner",
-             "wigner-past-cap"],
+        ids=["fig1", "fig2", "fig3", "exact-compare", "exact-compare-past-bound",
+             "discriminate", "wigner", "wigner-past-cap"],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):
         assert run(argv) == 1

@@ -1,9 +1,12 @@
 """The masking and comparison helpers of `scripts/compare_outputs.py`, with
-the script loaded from its path as it runs."""
+the script loaded from its path as it runs, and its invocations, each of
+which must succeed so that two identical failures cannot compare "same"."""
 import importlib.util
 import pathlib
 
 import pytest
+
+from photonamp import cli
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -44,3 +47,9 @@ def test_compare_names_every_part_that_differs(script):
         "DIFFERS sweep: exit code, stderr")
     # a part or a whole item missing on one side is a difference
     assert script.compare("f.csv", {"bytes": b"x"}, {}) == "DIFFERS f.csv: bytes"
+
+
+def test_every_invocation_exits_zero(script, capsys):
+    for args in script.INVOCATIONS:
+        assert cli.main(args) == 0, args
+        capsys.readouterr()

@@ -1,11 +1,14 @@
 """The argument contract of every public entry point: a count must be a
 non-negative whole number (N_atoms at least 1) whose log-factorial, where
 one is taken, and whose float arithmetic, where it enters any, stay
-finite; a real scalar or a tau grid must be finite, g at least the
-smallest normal float, and an angular-momentum label a multiple of 1/2
-whose double converts to a float, with 2j (n_e + n for a two-mode state)
-at most MAX_TWICE_J = 10**5 where a rotation is built (MAX_MATRIX_TWICE_J =
-2000 for a whole rotation matrix); and a call that
+finite; a real scalar or a tau grid must be finite, a block's arrays
+finite and as long as its basis asks, and an
+angular-momentum label a multiple of 1/2 whose double converts to a
+float, with 2j (n_e + n for a two-mode state) at most MAX_TWICE_J = 10**5
+where a rotation is built (MAX_MATRIX_TWICE_J = 2000 for a whole rotation
+matrix) and a sector dimension min(N_atoms, E) + 1 at most MAX_SECTOR_DIM =
+10**4 + 1 where a block is built (tested in test_exact_model.py, since no
+one argument here reaches it); and a call that
 breaks this raises a ValueError whose message starts with the argument's
 name, never an OverflowError or a silent value. A subnormal real scalar or tau point
 gives finite values or a ValueError, and no RuntimeWarning."""
@@ -88,17 +91,16 @@ CONTRACT = {
         {"N_atoms": COUNT + (0,), "total_excitation": COUNT},
     ),
     "SectorHamiltonian": (
-        lambda diagonal=np.zeros(2), off_diagonal=np.ones(1), omega=1.0, omega0=1.0, g=1.0:
-        SectorHamiltonian(SectorBasis(4, 1), diagonal, off_diagonal, omega, omega0, g),
-        {"diagonal": block_grids(2), "off_diagonal": block_grids(1), "omega": REAL,
-         "omega0": REAL, "g": REAL + (0.0, -1.0, SUBNORMAL)},
+        lambda diagonal=np.zeros(2), off_diagonal=np.ones(1):
+        SectorHamiltonian(SectorBasis(4, 1), diagonal, off_diagonal),
+        {"diagonal": block_grids(2) + (np.zeros(3),),
+         "off_diagonal": block_grids(1) + (np.ones(2),)},
     ),
     "TwoModeFockState": (lambda n_e=2, n=1: TwoModeFockState(n_e, n), {"n_e": COUNT, "n": COUNT}),
     "build_sector": (
-        lambda N_atoms=10, E=3, omega=1.0, omega0=1.0, g=1.0:
-        build_sector(N_atoms, E, omega, omega0, g),
+        lambda N_atoms=10, E=3, omega=1.0, omega0=1.0: build_sector(N_atoms, E, omega, omega0),
         {"N_atoms": COUNT + (0,) + HUGE, "E": COUNT + HUGE, "omega": REAL + WIDE,
-         "omega0": REAL + WIDE, "g": REAL + (0.0, -1.0, SUBNORMAL)},
+         "omega0": REAL + WIDE},
     ),
     "coherent_projection_probability": (
         lambda n_e=3, tau_grid=TAU: coherent_projection_probability(

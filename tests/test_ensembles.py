@@ -431,6 +431,23 @@ class TestThresholdTime:
 
             assert ground_projection_probability(n_e, n, tau) == pytest.approx(eps, rel=1e-6)
 
+    # every (n_e, n) below 80 where the grid's closed form rounds the peak
+    # below the scalar one, with epsilon one float below the scalar peak
+    @pytest.mark.parametrize("n_e,n", [(1, 34), (2, 68), (7, 30), (14, 60), (30, 7),
+                                       (41, 70), (60, 14), (70, 41), (76, 35)])
+    def test_epsilon_between_the_grid_and_the_scalar_peak(self, n_e, n):
+        # no grid point reached epsilon, so the bracket fell back to the
+        # first step and inverted: (1, 34) gave 0.0849, where P = 0.197
+        from photonamp.hp_model import ground_projection_probability
+
+        tau_peak = perception_time(n_e, n)
+        eps = float(np.nextafter(ground_projection_probability(n_e, n, tau_peak), 0.0))
+        grid = np.linspace(0.0, tau_peak, 257)
+        assert ground_projection_probabilities(n_e, n, grid).max() < eps
+        tau = threshold_time(n_e, n, eps)
+        assert tau_peak - 1e-8 <= tau <= tau_peak
+        assert abs(ground_projection_probability(n_e, n, tau) - eps) <= 4e-15
+
 
 @pytest.mark.parametrize(
     "make,name",

@@ -2,6 +2,7 @@
 cross-checks, conservation and symmetry properties, and convergence of the
 exact probabilities toward the closed binomial form."""
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -42,15 +43,30 @@ class TestBasisAndBuild:
         assert basis.dim == 3
         assert basis.states[-1] == (2, 3)
 
+    def test_states_are_built_on_read(self):
+        # a tuple per basis state used to be built at construction, so this
+        # basis never finished
+        basis = SectorBasis(N_atoms=10**15, total_excitation=10**15)
+        assert basis.dim == 10**15 + 1
+        assert basis.index_of(10**15, 0) == 10**15
+
+    @pytest.mark.parametrize("N_atoms,E", [(4, 2), (2, 5), (3, 3), (7, 0)])
+    def test_states_read_back_through_index_of(self, N_atoms, E):
+        basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
+        assert len(basis.states) == basis.dim
+        for k, state in enumerate(basis.states):
+            assert basis.index_of(*state) == k
+
     def test_index_of_rejects_foreign_state(self):
         basis = SectorBasis(N_atoms=4, total_excitation=2)
         with pytest.raises(ValueError):
             basis.index_of(1, 2)
 
     def test_single_atom_single_excitation(self):
-        # a lone two-level atom: the one-excitation block couples at g, and
-        # both states carry one quantum above the all-ground state
-        h = build_sector(1, 1, omega=1.0, omega0=1.0, g=1.0)
+        # a lone two-level atom: the one-excitation block couples at g (1 in
+        # units of g), and both states carry one quantum above the all-ground
+        # state
+        h = build_sector(1, 1, omega=1.0, omega0=1.0)
         assert h.off_diagonal[0] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(h.diagonal, [1.0, 1.0])
 
@@ -61,11 +77,11 @@ class TestBasisAndBuild:
 
     def test_two_atom_coupling_element(self):
         # collective raising from the ground pair: sqrt(1*(2-0)*(0+1)/2) = 1
-        h = build_sector(2, 1, omega=1.0, omega0=1.0, g=1.0)
+        h = build_sector(2, 1, omega=1.0, omega0=1.0)
         assert h.off_diagonal[0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["omega", "omega0", "g"])
+    @pytest.mark.parametrize("name", ["omega", "omega0"])
     def test_non_finite_parameters_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             build_sector(10, 3, **{name: value})
@@ -90,6 +106,26 @@ class TestBasisAndBuild:
         np.testing.assert_array_equal(h.diagonal, want.diagonal)
         np.testing.assert_array_equal(h.off_diagonal, want.off_diagonal)
 
+    @pytest.mark.parametrize("N_atoms,E,name", [
+        (10**4 + 1, 10**6, "N_atoms"), (10**6, 10**4 + 1, "E"), (10**15, 10**15, "E")])
+    def test_dimension_past_the_bound_names_the_smaller_count(self, N_atoms, E, name):
+        # (10**15, 10**15) used to build a tuple of 10**15 basis states
+        assert exact_model.MAX_SECTOR_DIM == 10**4 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{name} must be small enough that the "
+                                                 r"sector dimension min\(N_atoms, E\) \+ 1 is "
+                                                 f"at most 10001, got {min(N_atoms, E) + 1}$"):
+                build_sector(N_atoms, E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("N_atoms,E", [(10**4, 10**6), (10**6, 10**4)])
+    def test_dimension_at_the_bound_is_built(self, N_atoms, E):
+        assert build_sector(N_atoms, E).basis.dim == exact_model.MAX_SECTOR_DIM
+
     def test_arrays_frozen(self):
         h = build_sector(5, 3)
         with pytest.raises(ValueError):
@@ -98,17 +134,17 @@ class TestBasisAndBuild:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            # g = inf used to give the tau = 0 value at every tau
-            ("g", math.inf, "g must be finite"),
-            ("g", -1.0, "g must be positive"),
-            ("omega0", math.nan, "omega0 must be finite"),
+            ("diagonal", np.zeros(3), "diagonal must have shape (4,)"),
+            ("off_diagonal", np.ones(4), "off_diagonal must have shape (3,)"),
+            # a basis of another dimension: the diagonal is named first
+            ("basis", SectorBasis(5, 2), "diagonal must have shape (3,)"),
             # a NaN diagonal used to fail inside scipy, naming no field
             ("diagonal", np.array([0.0, math.nan, 0.0, 0.0]), "diagonal must be finite"),
             ("off_diagonal", np.array([1.0, math.inf, 1.0]), "off_diagonal must be finite"),
         ],
     )
     def test_hand_built_block_checks_its_fields(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             replace(build_sector(5, 3), **{field: value})
 
 
@@ -145,16 +181,9 @@ class TestExactEvolution:
 
     @pytest.mark.parametrize("tau_max", [1e300, 1e12])
     def test_phase_error_past_tolerance_names_tau_grid(self, tau_max):
-        # eps * |H| * tau/g: 1e300 used to return 0.130 without complaint
+        # eps * |H| * tau: 1e300 used to return 0.130 without complaint
         with pytest.raises(ValueError, match="^tau_grid must keep the phase error bound"):
             exact_projection_probability(build_sector(1000, 5), (3, 2), np.array([0.0, tau_max]))
-
-    def test_tiny_g_overflowing_tau_over_g_names_tau_grid(self):
-        # eps * |H| underflowed to 0 before the bound divided by g, so the
-        # guard passed and tau / g overflowed into NaN probabilities
-        h = build_sector(10, 3, g=3e-308)
-        with pytest.raises(ValueError, match="^tau_grid must keep the phase error bound"):
-            exact_projection_probability(h, (1, 2), np.array([0.0, 100.0]))
 
     def test_phase_error_bound_leaves_room_for_long_grids(self):
         # E = 3000 at tau = pi has a bound of about 2e-12, far inside 1e-8
@@ -163,21 +192,36 @@ class TestExactEvolution:
         exact_projection_probability(build_sector(1000, 5), (3, 2), np.array([0.0, 1e5]))
 
     def test_scaled_time_uses_physical_time(self):
-        # doubling g halves the physical time for the same scaled time
+        # doubling g doubles the block in units of g/2 and halves the time
         tau = np.linspace(0.0, 2.0, 40)
-        slow = exact_projection_probability(build_sector(50, 3, g=1.0), (2, 1), tau)
-        fast = exact_projection_probability(build_sector(50, 3, g=2.0), (2, 1), tau)
+        h = build_sector(50, 3, omega=1.3, omega0=0.9)
+        doubled = SectorHamiltonian(h.basis, 2.0 * h.diagonal, 2.0 * h.off_diagonal)
+        slow = exact_projection_probability(h, (2, 1), tau)
+        fast = exact_projection_probability(doubled, (2, 1), tau / 2.0)
         np.testing.assert_allclose(slow.values, fast.values, atol=1e-9)
+
+    @pytest.mark.parametrize("field", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("E", [5, 600], ids=["dense", "twisted"])
+    def test_subnormal_entry_gives_finite_probabilities(self, E, field):
+        # the contract's subnormal rule, for a hand-built block's entries
+        h = build_sector(10**6, E)
+        entries = getattr(h, field).copy()
+        entries[-1] = 5e-324
+        h = replace(h, **{field: entries})
+        for i in (0, 1, E // 2):
+            values = exact_projection_probability(h, h.basis.states[i], TAU_256).values
+            assert np.isfinite(values).all()
+            assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("N,E", [(1, 1), (6, 3), (40, 5), (7, 9)])
     def test_matches_dense_expm(self, N, E):
-        h = build_sector(N, E, omega=1.3, omega0=0.9, g=0.7)
+        h = build_sector(N, E, omega=1.3 / 0.7, omega0=0.9 / 0.7)
         dense = h.dense()
         init = min(2, h.basis.dim - 1)
         taus = np.array([0.4, 1.1, 2.7])
         trace = exact_projection_probability(h, h.basis.states[init], taus)
         for i, tau in enumerate(taus):
-            u = expm(-1j * dense * tau / h.g)
+            u = expm(-1j * dense * tau)
             assert trace.values[i] == pytest.approx(abs(u[0, init]) ** 2, abs=1e-9)
 
     @pytest.mark.parametrize("N,E", [(10**6, 5), (10**8, 6)])
@@ -206,7 +250,7 @@ class TestExactEvolution:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_detuned_matches_dense_expm(self):
-        h = build_sector(20, 2, omega=2.0, omega0=1.5, g=1.0)
+        h = build_sector(20, 2, omega=2.0, omega0=1.5)
         taus = np.linspace(0.0, 3.0, 50)
         trace = exact_projection_probability(h, (2, 0), taus)
         u_vals = [abs(expm(-1j * h.dense() * t)[0, 2]) ** 2 for t in taus]
@@ -245,15 +289,15 @@ def _zero_diagonal_block() -> SectorHamiltonian:
     # odd dimension: the lambda = 0 eigenvector vanishes at every odd index,
     # so one of the two candidate twists sits on a zero of it
     h = build_sector(10**6, 600)
-    return SectorHamiltonian(h.basis, np.zeros(h.basis.dim), h.off_diagonal, 1.0, 1.0, 1.0)
+    return SectorHamiltonian(h.basis, np.zeros(h.basis.dim), h.off_diagonal)
 
 
 # blocks of dimension 451 to 651, above the dense/twisted cutoff of 224;
 # both_paths forces each through both routes
 AROUND_CUTOFF = {
-    "detuned": lambda: build_sector(4000, 600, omega=1.3, omega0=0.7, g=0.5),
-    "strongly-detuned": lambda: build_sector(10**6, 450, omega=5.0, omega0=0.2, g=0.1),
-    "E>N": lambda: build_sector(650, 900, omega=1.3, omega0=0.7, g=0.5),
+    "detuned": lambda: build_sector(4000, 600, omega=2.6, omega0=1.4),
+    "strongly-detuned": lambda: build_sector(10**6, 450, omega=50.0, omega0=2.0),
+    "E>N": lambda: build_sector(650, 900, omega=2.6, omega0=1.4),
     "zero-diagonal": _zero_diagonal_block,
 }
 TAU_16 = np.linspace(0.0, 3.0, 16)
@@ -306,7 +350,7 @@ class TestTwistedWeights:
     def test_paths_match_expm_multiply(self, monkeypatch, block):
         h = AROUND_CUTOFF[block]()
         a = h.diagonal - np.mean(h.diagonal)
-        generator = diags([h.off_diagonal, a, h.off_diagonal], [-1, 0, 1], format="csr") / h.g
+        generator = diags([h.off_diagonal, a, h.off_diagonal], [-1, 0, 1], format="csr")
         starts = np.eye(h.basis.dim, dtype=complex)[:, _indices(h)]
         psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
                             num=TAU_16.size, endpoint=True)
@@ -319,14 +363,14 @@ class TestTwistedWeights:
         # expm_multiply misses by up to 7e-11 here (norm x time near 3e4);
         # checked against a 40-digit eigendecomposition of the 60-site
         # corner, dense expm of that corner is within 4e-14. A coupling of
-        # 0.1 sqrt(450 k) against a detuning of 4.8 per site keeps the states
-        # near index 0 inside the corner.
+        # sqrt(450 k) against a detuning of 48 per site keeps the states near
+        # index 0 inside the corner.
         h = AROUND_CUTOFF["strongly-detuned"]()
         m = 60
         corner = np.diag(h.diagonal[:m] - h.diagonal[0])
         corner += np.diag(h.off_diagonal[:m - 1], 1) + np.diag(h.off_diagonal[:m - 1], -1)
         # one expm per time serves both initial indices
-        row = np.array([expm(-1j * corner * t / h.g)[0, :2] for t in TAU_16])
+        row = np.array([expm(-1j * corner * t)[0, :2] for t in TAU_16])
         for i in (0, 1):
             want = np.abs(row[:, i]) ** 2
             for got in both_paths(monkeypatch, h, i, TAU_16):
@@ -357,10 +401,10 @@ class TestTwistedWeights:
         if split == "zero-coupling":
             off = h.off_diagonal.copy()
             off[300] = 0.0
-            h = SectorHamiltonian(h.basis, h.diagonal, off, h.omega, h.omega0, h.g)
+            h = SectorHamiltonian(h.basis, h.diagonal, off)
         else:  # a concave diagonal: low-lying states sit in both end wells
             diag = -0.002 * (np.arange(h.basis.dim) - 300.0) ** 2
-            h = SectorHamiltonian(h.basis, diag, np.ones(h.basis.dim - 1), 1.0, 1.0, 1.0)
+            h = SectorHamiltonian(h.basis, diag, np.ones(h.basis.dim - 1))
         for i in (0, 1, 300):
             dense, twisted = both_paths(monkeypatch, h, i, TAU_16, falls_back=True)
             np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
@@ -387,10 +431,10 @@ class TestTwistedWeights:
 NEAR_CUTOFF = {
     "resonant-dim-207": lambda: build_sector(2 * 10**5, 206),
     "resonant-dim-225": lambda: build_sector(2 * 10**5, 224),
-    "detuned-dim-241": lambda: build_sector(4000, 240, omega=1.3, omega0=0.7, g=0.5),
+    "detuned-dim-241": lambda: build_sector(4000, 240, omega=2.6, omega0=1.4),
     "resonant-dim-301": lambda: build_sector(2 * 10**5, 300),
-    "detuned-dim-281": lambda: build_sector(4000, 280, omega=1.3, omega0=0.7, g=0.5),
-    "E>N-dim-301": lambda: build_sector(300, 400, omega=1.3, omega0=0.7, g=0.5),
+    "detuned-dim-281": lambda: build_sector(4000, 280, omega=2.6, omega0=1.4),
+    "E>N-dim-301": lambda: build_sector(300, 400, omega=2.6, omega0=1.4),
 }
 
 
@@ -400,7 +444,7 @@ class TestCutoff:
         h = NEAR_CUTOFF[block]()
         calls = _count_dense_calls(monkeypatch)
         centred = h.dense() - np.mean(h.diagonal) * np.eye(h.basis.dim)
-        step = expm(-1j * centred * (TAU_16[1] - TAU_16[0]) / h.g)  # TAU_16 is uniform
+        step = expm(-1j * centred * (TAU_16[1] - TAU_16[0]))  # TAU_16 is uniform
         row = [np.eye(h.basis.dim)[0]]  # <0| U(t) on the grid
         for _ in TAU_16[1:]:
             row.append(row[-1] @ step)
@@ -634,7 +678,14 @@ def _zero_coupling(site):
     h = RESONANT["dim-601"]()
     off = h.off_diagonal.copy()
     off[site] = 0.0
-    return SectorHamiltonian(h.basis, h.diagonal, off, 1.0, 1.0, 1.0)
+    return SectorHamiltonian(h.basis, h.diagonal, off)
+
+
+def _huge_couplings():
+    """The resonant dim-601 block with its couplings scaled by 1e160, where
+    b^2 overflows; on TAU_16 * 1e-160 it has the probabilities of dim-601."""
+    h = RESONANT["dim-601"]()
+    return SectorHamiltonian(h.basis, h.diagonal, h.off_diagonal * 1e160)
 
 
 def _dense_fallback(monkeypatch, h, i, tau):
@@ -685,7 +736,7 @@ class TestHalfSpectrum:
         monkeypatch.setattr(exact_model, "eigensystem", general)
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", general)
         indices = [0, 1, 2, 3, 256, 257, h.basis.dim - 2, h.basis.dim - 1]
-        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr") / h.g
+        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr")
         starts = np.eye(h.basis.dim, dtype=complex)[:, indices]
         psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
                             num=TAU_16.size, endpoint=True)
@@ -713,7 +764,7 @@ class TestHalfSpectrum:
         calls, half = [], exact_model._positive_half
         monkeypatch.setattr(exact_model, "_positive_half",
                             lambda b, i: calls.append(i) or half(b, i))
-        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr") / h.g
+        generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr")
         starts = np.eye(h.basis.dim, dtype=complex)[:, [0, 1, 300]]
         psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
                             num=TAU_16.size, endpoint=True)
@@ -724,13 +775,13 @@ class TestHalfSpectrum:
         assert calls == [0, 1, 300]
 
     def test_overflowing_square_falls_back(self, monkeypatch):
-        # b^2 overflows at g = 1e160; scaled time keeps the probabilities of g = 1
-        h = build_sector(10**6, 600, g=1e160)
+        h = _huge_couplings()
         with pytest.raises(FloatingPointError):
             exact_model._positive_half(h.off_diagonal, 0)
         for i in (0, 1, 300):
-            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
-            np.testing.assert_array_equal(got, _dense_fallback(monkeypatch, h, i, TAU_16))
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e-160).values
+            np.testing.assert_array_equal(
+                got, _dense_fallback(monkeypatch, h, i, TAU_16 * 1e-160))
             want = exact_projection_probability(RESONANT["dim-601"](), h.basis.states[i], TAU_16)
             np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
@@ -749,11 +800,11 @@ class TestHalfSpectrum:
             assert got.tobytes() == _dense_fallback(monkeypatch, h, i, TAU_16).tobytes()
             dense.clear()
 
-    @pytest.mark.parametrize("block,twisted", [
-        (lambda: _zero_coupling(300), True),  # B singular: the twisted check fails
-        (lambda: build_sector(10**6, 600, g=1e160), False),  # b^2 overflows
-    ], ids=["zero-coupling", "g=1e160"])
-    def test_failed_route_goes_straight_to_dense(self, monkeypatch, block, twisted):
+    @pytest.mark.parametrize("block,tau,twisted", [
+        (lambda: _zero_coupling(300), TAU_16, True),  # B singular: the twisted check fails
+        (_huge_couplings, TAU_16 * 1e-160, False),  # b^2 overflows
+    ], ids=["zero-coupling", "couplings-1e160"])
+    def test_failed_route_goes_straight_to_dense(self, monkeypatch, block, tau, twisted):
         # a failed half spectrum is not retried as the whole spectrum: at
         # most one twisted attempt per call, and no sterf eigenvalues
         def no_sterf(*args, **kwargs):
@@ -766,7 +817,7 @@ class TestHalfSpectrum:
                             lambda a, b, i, *rest: attempts.append(i) or real(a, b, i, *rest))
         dense = _count_dense_calls(monkeypatch)
         for i in (0, 1, 300):
-            exact_projection_probability(h, h.basis.states[i], TAU_16)
+            exact_projection_probability(h, h.basis.states[i], tau)
         assert attempts == ([0, 1, 300] if twisted else [])
         assert len(dense) == 3
 
