@@ -38,7 +38,7 @@ from .ensembles import (
     perception_time,
     threshold_time,
 )
-from .exact_model import build_sector, exact_projection_probability
+from .exact_model import _sector_total, build_sector, exact_projection_probability
 from .hp_model import ground_projection_probabilities, ground_projection_probability
 from .numerics import _d_column, _require_finite, _require_twice_j, _require_whole
 from .numerics import wigner_small_d  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -278,7 +278,7 @@ def _run_exact_compare(cfg: dict) -> dict:
     series = {}
     max_devs = {}
     for N in cfg["N"]:
-        h = build_sector(N, n_e + n)
+        h = build_sector(N, _sector_total(N, {"--n-e": n_e, "--n": n}, "--N"))
         exact = exact_projection_probability(h, (n_e, n), tau).values
         dev = np.abs(exact - closed_form)
         series[f"dev_N{N}"] = dev

@@ -28,10 +28,13 @@ memory and O(dim^2) time, each pivot pass ending at its last twist and the
 top-down one retiring, every 32 sites, eigenvalues whose weight bound has
 fallen below 1e-20.
 Smaller blocks use LAPACK's dense eigenvectors, which are faster there. At
-resonance the spectrum comes in +-lambda pairs, and large blocks whose
-centred diagonal is exactly zero (omega = omega0 = 1) solve only its
-positive half. `_spectrum` is the one place that picks among the three
-routes, and a route that fails falls back to the dense eigenvectors.
+resonance the spectrum comes in +-lambda pairs, and blocks whose centred
+diagonal is exactly zero (omega = omega0 = 1) solve only its positive
+half, the singular values of a bidiagonal half of the block: from the
+dense eigenvectors of a half-size block of at most _DENSE_MAX_DIM rows (up
+to dim 448), and by twisted factorizations above. `_spectrum` is the one
+place that picks among the routes, and a route that fails falls back to
+the dense eigenvectors of the whole block.
 """
 from __future__ import annotations
 
@@ -53,15 +56,20 @@ __all__ = [
     "hp_deviation",
 ]
 
-# Blocks up to this dimension take LAPACK's dense eigenvectors, larger ones
-# the twisted factorizations. Median of 41 interleaved calls, 256-point grid,
-# N = 2e5, one BLAS thread on a 2-vCPU Xeon, twisted against dense, in ms:
-# general route (omega = 1.3) 4.8/3.9 at dim 151, 4.2/4.2 at 200, 4.1/4.3 at
-# 216, 4.3/4.5 at 224, 4.5/4.8 at 232, 5.0/5.6 at 257, 6.2/7.4 at 301, where
-# the twisted route won 21, 33, 38, 38 and 40 of 41 calls from dim 200 up;
-# resonant half-spectrum route 1.4/2.2 at 151, 3.7/13.9 at 440. One cutoff at
-# the general crossover serves both; below it the resonant route gains under
-# 2 ms a call.
+# The largest matrix whose dense eigenvectors are formed: a block up to this
+# dimension, or a half block, at most (dim + 1) // 2 rows, of a resonant one
+# up to twice it; larger ones take the twisted factorizations. Median of 41
+# interleaved calls, 256-point grid, N = 2e5, one BLAS thread on a 2-vCPU
+# Xeon, twisted against dense, in ms: general route (omega = 1.3) 4.8/3.9 at
+# dim 151, 4.2/4.2 at 200, 4.1/4.3 at 216, 4.3/4.5 at 224, 4.5/4.8 at 232,
+# 5.0/5.6 at 257, 6.2/7.4 at 301, where the twisted route won 21, 33, 38, 38
+# and 40 of 41 calls from dim 200 up. Resonant, i = E // 3, the half block's
+# dense eigenvectors against twisted (whole-block dense eigenvectors in
+# brackets): 0.49/0.89 (1.44) at dim 98, 1.69/3.04 (5.8) at 225, 2.05/2.66
+# at 351, 3.08/3.46 (11.8) at 448, winning 40 or 41 of 41 calls at each of
+# seven dims from 98 to 448; on a 64-point grid 0.33/0.72 at 98 and
+# 2.72/3.13 at 448. One cutoff keeps the largest eigenvector matrix at 224^2
+# on every route.
 _DENSE_MAX_DIM = 224
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
@@ -155,6 +163,19 @@ class SectorHamiltonian:
         return h
 
 
+def _sector_total(N_atoms: int, parts: dict[str, int], atoms: str = "N_atoms") -> int:
+    """E = sum(parts), once the sector dimension min(N_atoms, E) + 1 is
+    found at most MAX_SECTOR_DIM; past it a ValueError names the count that
+    sets the dimension, in the caller's own terms: `atoms`, or the largest
+    of the parts, keyed by name."""
+    E = sum(parts.values())
+    if min(N_atoms, E) >= MAX_SECTOR_DIM:
+        raise _too_large(atoms if N_atoms < E else max(parts, key=parts.get),
+                         f"the sector dimension min({atoms}, {' + '.join(parts)}) + 1 is at "
+                         f"most {MAX_SECTOR_DIM}, got {min(N_atoms, E) + 1}")
+    return E
+
+
 def build_sector(
     N_atoms: int, E: int, omega: float = 1.0, omega0: float = 1.0
 ) -> SectorHamiltonian:
@@ -173,11 +194,8 @@ def build_sector(
     """
     N_atoms, E = _require_whole(N_atoms=N_atoms, E=E)
     _require_finite(omega=omega, omega0=omega0)
+    _sector_total(N_atoms, {"E": E})
     basis = SectorBasis(N_atoms=N_atoms, total_excitation=E)
-    if basis.dim > MAX_SECTOR_DIM:
-        raise _too_large("E" if E <= N_atoms else "N_atoms",
-                         f"the sector dimension min(N_atoms, E) + 1 is at most "
-                         f"{MAX_SECTOR_DIM}, got {basis.dim}")
     n_e = np.arange(basis.dim, dtype=float)
     k = n_e[:-1]
     with np.errstate(over="raise"):
@@ -312,6 +330,7 @@ def _pivot_pass(
     return out
 
 
+@np.errstate(over="raise", invalid="raise")  # in the passes too: an overflow fails the route
 def _twisted_weights(
     a: np.ndarray, b: np.ndarray, i: int, w: np.ndarray, mass: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,13 +350,13 @@ def _twisted_weights(
     so the weight x_0 x_i / |x|^2 needs no vector; for i = 0 it is the
     squared first component of Golub & Welsch (1969). The top-down pass
     retires eigenvalues whose bound |x_0/x_j| on the weight falls below
-    _NEGLIGIBLE; a floating-point fault in either pass propagates as a
-    FloatingPointError. The twist is the deepest point of the eigenvalue's
-    classical region, argmin_j |w - a_j| - (b_{j-1} + b_j), or the next
-    index where that has the smaller twist element
-    gamma = d_r + p_r - (a_r - w), that is the larger |x_r|. The
-    eigenvalues come back sorted by their twist, so each step of a pass
-    works on one contiguous slice.
+    _NEGLIGIBLE; an overflow or another floating-point fault, in either
+    pass or after them, propagates as a FloatingPointError. The twist is
+    the deepest point of the eigenvalue's classical region,
+    argmin_j |w - a_j| - (b_{j-1} + b_j), or the next index where that has
+    the smaller twist element gamma = d_r + p_r - (a_r - w), that is the
+    larger |x_r|. The eigenvalues come back sorted by their twist, so each
+    step of a pass works on one contiguous slice.
     """
     n = a.size
     reach = np.abs(np.append(b, 0.0)) + np.abs(np.append(0.0, b))  # b_j + b_{j-1}
@@ -398,27 +417,65 @@ def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
     return np.sqrt(sigma2), x[i // 2] / norm2 if i % 2 == 0 else 0.0, 1.0 / norm2
 
 
+def _half_eigenvectors(b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """What `_spectrum` returns for the tridiagonal matrix with zero
+    diagonal and off-diagonal b, from the dense eigenvectors of a half-size
+    block. Over the sites of i's parity and the others the matrix is
+    [[0, C], [C^T, 0]]; C C^T (B B^T for even i, B^T B for odd i) is
+    tridiagonal over the sites j of i's parity, with diagonal
+    b_j-1^2 + b_j^2 and off-diagonal b_j b_j+1. A unit eigenvector y of it
+    gives (y, +-C^T y / sigma) / sqrt(2) at lambda = +-sigma, with
+    sigma = |C^T y|: row i is read off y, and so is row 0 for even i, while
+    for odd i row 0 is one product, b_0 y_0 / sigma. At an odd dimension
+    the first y of B B^T is the lambda = 0 vector. Raises
+    FloatingPointError where b^2 or |C^T y|^2 overflows, or where an odd i
+    divides by a zero sigma.
+    """
+    from scipy.linalg import eigh_tridiagonal  # deferred, as in eigensystem
+
+    left, right = np.append(0.0, b)[i % 2::2], np.append(b, 0.0)[i % 2::2]  # b_j-1, b_j by site j
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _, y = eigh_tridiagonal(left**2 + right**2, right[:-1] * left[1:])
+        other = np.zeros((y.shape[0] + 1, y.shape[1]))  # C^T y at the sites j - 1, and one past
+        other[:-1] = left[:, None] * y
+        other[1:] += right[:, None] * y
+        odd = int(i % 2 == 0 and b.size % 2 == 0)  # an odd dimension: B B^T is singular
+        zero_weight = y[0, 0] * y[i // 2, 0] if odd else 0.0
+        sigma = np.sqrt(np.einsum("jk,jk->k", other, other))[odd:]
+        x0 = other[0] / sigma if i % 2 else y[0, odd:]
+    return np.append(sigma, 0.0), np.append(x0 * y[i // 2, odd:], zero_weight), i % 2
+
+
 def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Eigenvalues w_k of a block centred on its mean diagonal, the weights
     v[0, k] v[i, k] of its unit eigenvectors, and the parity: None for the
     whole spectrum, i % 2 for the half lambda >= 0 of a +-lambda spectrum.
 
-    Blocks of dimension up to _DENSE_MAX_DIM (224) take the weights from
-    `eigensystem`; larger ones from eigenvalues and twisted factorizations
-    (`_twisted_weights`), without the dim x dim eigenvector matrix. A block
-    with an exactly zero centred diagonal (every build_sector block with
-    omega = omega0 = 1) twists only its eigenvalues lambda > 0, from
-    `_positive_half`: the weight at -lambda is (-1)^i times that at lambda,
-    so the weights double and lambda = 0 is appended with its own weight,
-    checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1, v_0(0) at lambda = 0.
-    Every other block twists the eigenvalues of LAPACK's sterf. Either
-    route reports a failure as a FloatingPointError, which `_spectrum`
-    catches in one place and answers with the dense eigenvectors:
-    `_positive_half` raises where b^2 overflows (couplings past about
-    1e154) or a zero coupling makes its lambda = 0 vector infinite, and
-    `_twisted_weights` on a floating-point fault or a failed completeness
-    check, seen only on hand-built blocks with a zero coupling or a split
-    classical region.
+    A block with an exactly zero centred diagonal (every build_sector
+    block with omega = omega0 = 1) solves only its eigenvalues lambda > 0:
+    the weight at -lambda is (-1)^i times that at lambda, so the weights
+    double and lambda = 0 is appended with its own weight. Up to dimension
+    2 * _DENSE_MAX_DIM (448) they come from the dense eigenvectors of the
+    half block of i's parity, B B^T or B^T B, of at most _DENSE_MAX_DIM
+    rows (`_half_eigenvectors`); above it from `_positive_half` and twisted factorizations
+    (`_twisted_weights`), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
+    v_0(0) at lambda = 0. Every other block takes `eigensystem` up to
+    dimension _DENSE_MAX_DIM (224), and above it twists the eigenvalues of
+    LAPACK's sterf, without the dim x dim eigenvector matrix. Each route
+    but `eigensystem` reports a failure as a FloatingPointError, which
+    `_spectrum` catches in one place and answers with the dense
+    eigenvectors of the whole block: `_half_eigenvectors` and
+    `_positive_half` raise where b^2 overflows (couplings past about
+    1e154), the first also where an odd i meets a zero sigma and the second
+    where a zero coupling makes its lambda = 0 vector infinite, and
+    `_twisted_weights` on an overflow, another floating-point fault or a
+    failed completeness check, seen only on hand-built blocks with a huge
+    entry, a zero coupling or a split classical region.
+
+    On resonant build_sector blocks of dim 6 to 448 the dense half route
+    lies within 5e-14 of the weights of a 40-digit eigendecomposition and
+    within 3.5e-13 of its eigenvalues; its probabilities on a 256-point grid
+    up to tau = pi lie within 1.1e-13 of the 40-digit ones (1e-15 at dim 6).
 
     Both twisted routes are limited by the rounding of the eigenvalues,
     about eps * |H| * tau in each phase. On blocks of dimension 451 to
@@ -431,8 +488,10 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     513 to 3001.
     """
     a, b = centred.diagonal, centred.off_diagonal
-    if centred.basis.dim > _DENSE_MAX_DIM:
-        try:
+    try:
+        if not a.any() and centred.basis.dim <= 2 * _DENSE_MAX_DIM:  # (dim + 1) // 2 rows
+            return _half_eigenvectors(b, i)
+        if centred.basis.dim > _DENSE_MAX_DIM:
             if not a.any():
                 w, zero_weight, zero_mass = _positive_half(b, i)
                 w, weights = _twisted_weights(a, b, i, w, (1.0 - zero_mass) / 2.0)
@@ -441,8 +500,8 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
 
             w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
             return (*_twisted_weights(a, b, i, w), None)
-        except FloatingPointError:  # a failed route: the dense eigenvectors below
-            pass
+    except FloatingPointError:  # a failed route: the dense eigenvectors below
+        pass
     w, v = eigensystem(centred)
     return w, v[0, :] * v[i, :], None
 
@@ -461,24 +520,31 @@ def exact_projection_probability(
     `_spectrum`; over a half spectrum, lambda >= 0, it is a real sum of
     cosines (even i) or sines (odd i). The phases are summed in blocks of
     eigenvalues, so memory stays O(dim + len(tau)) above the dense cutoff.
-    A tau_grid that is not finite, or where the bound
-    eps * |H_centred| * max|tau| exceeds _PHASE_TOL (1e-8), raises a
-    ValueError naming it before any solve.
+    A tau_grid that is not finite raises a ValueError naming it before any
+    solve; so do a hand-built block whose width max(a) - min(a) + 4 max|b|
+    overflows, naming the diagonal (a) or the off_diagonal (b), and then a
+    tau_grid where the bound eps * |H_centred| * max|tau| exceeds
+    _PHASE_TOL (1e-8).
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
     tau = np.asarray(tau_grid, dtype=float)
     _require_finite(tau_grid=tau)
     # factor the centred block: the mean diagonal is a global phase, and
-    # eigenvalues shifted back by it would carry its rounding
-    centred = replace(h, diagonal=h.diagonal - np.mean(h.diagonal))
-    a, b = centred.diagonal, centred.off_diagonal
-    norm = float(np.abs(a).max() + 2.0 * np.abs(b).max(initial=0.0))  # >= |H_centred|
+    # eigenvalues shifted back by it would carry its rounding. Its Gershgorin
+    # width bounds every a_j - w_k and w_k - w_l that a route forms.
+    with np.errstate(over="ignore", invalid="ignore"):  # a width past the range, named below
+        a = h.diagonal - np.mean(h.diagonal)
+        spread, b_max = float(a.max() - a.min()), float(np.abs(h.off_diagonal).max(initial=0.0))
+    for name, width in (("diagonal", spread), ("off_diagonal", spread + 4.0 * b_max)):
+        if not width <= sys.float_info.max:
+            raise _too_large(name, "the block's width max(a) - min(a) + 4 max|b| stays finite")
+    norm = float(np.abs(a).max()) + 2.0 * b_max  # >= |H_centred|
     tau_max = float(np.abs(tau).max(initial=0.0))
     if not sys.float_info.epsilon * norm * tau_max <= _PHASE_TOL:
         raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau| "
                          f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
-    w, weights, parity = _spectrum(centred, i_init)
+    w, weights, parity = _spectrum(replace(h, diagonal=a), i_init)
     # over +-lambda pairs, cosines for even i and sines for odd i
     phase = (np.cos, np.sin)[parity] if parity is not None else lambda x: np.exp(-1j * x)
     step = max(1, _BLOCK // max(tau.size, 1))
@@ -507,6 +573,6 @@ def hp_deviation(
     """
     N_atoms, n_e, n = _require_whole(N_atoms=N_atoms, n_e=n_e, n=n)
     approx = ground_projection_probabilities(n_e, n, tau_grid)  # names a huge n_e or n
-    h = build_sector(N_atoms, n_e + n)
+    h = build_sector(N_atoms, _sector_total(N_atoms, {"n_e": n_e, "n": n}))
     exact = exact_projection_probability(h, (n_e, n), tau_grid).values
     return float(np.max(np.abs(exact - approx)))

@@ -314,8 +314,17 @@ class TestExitCodes:
             # used to build a tuple of 10**15 basis states and never finish
             (["exact-compare", "--N", "1000000000000000", "--n-e", "1000000000000000",
               "--n", "0", "--grid-points", "4"],
-             "photonamp: error: E must be small enough that the sector dimension "
-             "min(N_atoms, E) + 1 is at most 10001, got 1000000000000001\n"),
+             "photonamp: error: --n-e must be small enough that the sector dimension "
+             "min(--N, --n-e + --n) + 1 is at most 10001, got 1000000000000001\n"),
+            # the flag that sets the dimension, not the solver's E or N_atoms
+            (["exact-compare", "--N", "1000000", "--n-e", "1", "--n", "10000",
+              "--grid-points", "4"],
+             "photonamp: error: --n must be small enough that the sector dimension "
+             "min(--N, --n-e + --n) + 1 is at most 10001, got 10002\n"),
+            (["exact-compare", "--N", "10001", "--n-e", "6000", "--n", "6000",
+              "--grid-points", "4"],
+             "photonamp: error: --N must be small enough that the sector dimension "
+             "min(--N, --n-e + --n) + 1 is at most 10001, got 10002\n"),
             (["discriminate", "--observed", "0.5", "--n-e", "-1"], "n_e"),
             (["wigner", "--n-e", "1", "--n", "-1", "--grid-points", "4"],
              "photonamp: error: n must be non-negative, got -1\n"),
@@ -324,6 +333,7 @@ class TestExitCodes:
              "got n_e + n = 100003\n"),
         ],
         ids=["fig1", "fig2", "fig3", "exact-compare", "exact-compare-past-bound",
+             "exact-compare-past-bound-n", "exact-compare-past-bound-N",
              "discriminate", "wigner", "wigner-past-cap"],
     )
     def test_library_value_error_is_usage_error(self, argv, message, capsys):

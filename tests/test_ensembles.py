@@ -214,14 +214,16 @@ class TestClosedForm:
 
 
 class TestPoissonPass:
+    @pytest.mark.parametrize("gain", [False, True], ids=["curves", "gain"])
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.3, 5.0, 700.0, 1e5])
     @pytest.mark.parametrize("n_e", [0, 1, 25, 1000])
-    def test_bit_for_bit_equal_to_the_reference(self, n_e, lam, grid):
+    def test_bit_for_bit_equal_to_the_reference(self, n_e, lam, grid, gain):
+        # without gain the pass leaves out the two rows only the gain reads
         ensembles._poisson_pass.cache_clear()
-        got = ensembles._poisson_averages(n_e, lam, grid)
+        got = ensembles._poisson_averages(n_e, lam, grid, gain)
         want, _ = reference_poisson_averages(n_e, lam, grid)
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want[:5 if gain else 3]]
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("lam,first", [(5.0, None), (700.0, 163), (1e5, 30)])
@@ -230,7 +232,7 @@ class TestPoissonPass:
         assert (rescaled_at[0] if rescaled_at else None) == first
 
     def test_cached_result_is_read_only(self):
-        values = ensembles._poisson_averages(25, 0.3, TAU)
+        values = ensembles._poisson_averages(25, 0.3, TAU, False)
         assert not values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.0
@@ -254,21 +256,23 @@ class TestPoissonPass:
             assert series[f"p_mixed_i{lam:g}"].tobytes() == mixed.tobytes()
 
     @pytest.mark.parametrize(
-        "n_e,lam,tau",
+        "n_e,lam,tau,gain",
         [
-            (26, 0.3, TAU),
-            (25, np.nextafter(0.3, 1.0), TAU),
-            (25, 0.3, np.where(TAU == TAU[5], np.nextafter(TAU[5], 0.0), TAU)),
-            (25, 0.3, TAU.reshape(32, 32)),  # the same bytes in another shape
+            (26, 0.3, TAU, False),
+            (25, np.nextafter(0.3, 1.0), TAU, False),
+            (25, 0.3, np.where(TAU == TAU[5], np.nextafter(TAU[5], 0.0), TAU), False),
+            (25, 0.3, TAU.reshape(32, 32), False),  # the same bytes in another shape
+            (25, 0.3, TAU, True),  # the curves' pass lacks the gain's rows
         ],
-        ids=["n_e", "intensity", "grid-values", "grid-shape"],
+        ids=["n_e", "intensity", "grid-values", "grid-shape", "gain"],
     )
-    def test_a_changed_argument_misses_the_cache(self, n_e, lam, tau):
+    def test_a_changed_argument_misses_the_cache(self, n_e, lam, tau, gain):
         ensembles._poisson_pass.cache_clear()
-        ensembles._poisson_averages(25, 0.3, TAU)
-        got = ensembles._poisson_averages(n_e, lam, tau)
+        ensembles._poisson_averages(25, 0.3, TAU, False)
+        got = ensembles._poisson_averages(n_e, lam, tau, gain)
         assert ensembles._poisson_pass.cache_info().misses == 2
-        assert got.tobytes() == reference_poisson_averages(n_e, lam, tau)[0].tobytes()
+        want = reference_poisson_averages(n_e, lam, tau)[0][:5 if gain else 3]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -6,11 +6,13 @@ import re
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 from scipy.linalg import eigvalsh_tridiagonal, expm, lapack
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
@@ -213,6 +215,41 @@ class TestExactEvolution:
             assert np.isfinite(values).all()
             assert values.min() >= 0.0 and values.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("field", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("E", [5, 600], ids=["dim-6", "dim-601"])
+    def test_entries_at_the_float_range_name_their_field(self, monkeypatch, E, field):
+        # +-1e308 used to overflow with a warning, and then the phase guard
+        # blamed tau_grid, even for tau_grid = [0.0]
+        def no_solve(*args):
+            raise AssertionError("solved a block whose width overflows")
+
+        for name in ("eigensystem", "_half_eigenvectors", "_twisted_weights", "_positive_half"):
+            monkeypatch.setattr(exact_model, name, no_solve)
+        h = build_sector(10**6, E)
+        entries = getattr(h, field).copy()
+        entries[0], entries[-1] = 1e308, -1e308
+        h = replace(h, **{field: entries})
+        with pytest.raises(ValueError, match=f"^{field} must be small enough that the block's "
+                                             r"width max\(a\) - min\(a\) \+ 4 max\|b\| "
+                                             "stays finite$"):
+            exact_projection_probability(h, h.basis.states[1], np.array([0.0]))
+
+    def test_overflow_in_the_twisted_route_falls_back_to_dense(self, monkeypatch):
+        # one 1e308 on the diagonal leaves the width finite, but the twist
+        # element d + p - (a - w) overflows, which used to warn and go on
+        h = build_sector(10**6, 600, omega=1.3)
+        diag = h.diagonal.copy()
+        diag[0] = 1e308
+        h = replace(h, diagonal=diag)
+        a = diag - np.mean(diag)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            exact_model._twisted_weights(a, h.off_diagonal, 1, _sterf(h))
+        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        # the phase guard allows max|tau| up to about 4.5e-301 here
+        values = exact_projection_probability(h, h.basis.states[1], np.array([0.0, 1e-302])).values
+        assert len(dense) == 1
+        np.testing.assert_allclose(values, 0.0, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("N,E", [(1, 1), (6, 3), (40, 5), (7, 9)])
     def test_matches_dense_expm(self, N, E):
         h = build_sector(N, E, omega=1.3 / 0.7, omega0=0.9 / 0.7)
@@ -309,9 +346,15 @@ def _indices(h):
     return [0, 1, 3, h.basis.dim // 2, h.basis.dim // 2 + 1, h.basis.dim - 1]
 
 
-def _count_dense_calls(monkeypatch):
-    calls, dense = [], exact_model.eigensystem
-    monkeypatch.setattr(exact_model, "eigensystem", lambda block: calls.append(1) or dense(block))
+def _count_dense_calls(monkeypatch, *names):
+    """Records each call that forms dense eigenvectors, through `names`:
+    by default `eigensystem`, and `_half_eigenvectors` for a zero centred
+    diagonal."""
+    calls = []
+    for name in names or ("eigensystem", "_half_eigenvectors"):
+        dense = getattr(exact_model, name)
+        monkeypatch.setattr(exact_model, name,
+                            lambda *args, dense=dense: calls.append(1) or dense(*args))
     return calls
 
 
@@ -427,7 +470,8 @@ class TestTwistedWeights:
         assert np.all((trace.values >= 0.0) & (trace.values <= 1.0 + 1e-12))
 
 
-# blocks of dimension 200 to 320, on both sides of the cutoff of 224
+# blocks on both sides of the cutoffs: dim 224 for a detuned block, and 448
+# for a resonant one, whose half block B B^T has (dim + 1) // 2 rows
 NEAR_CUTOFF = {
     "resonant-dim-207": lambda: build_sector(2 * 10**5, 206),
     "resonant-dim-225": lambda: build_sector(2 * 10**5, 224),
@@ -435,7 +479,14 @@ NEAR_CUTOFF = {
     "resonant-dim-301": lambda: build_sector(2 * 10**5, 300),
     "detuned-dim-281": lambda: build_sector(4000, 280, omega=2.6, omega0=1.4),
     "E>N-dim-301": lambda: build_sector(300, 400, omega=2.6, omega0=1.4),
+    "resonant-dim-448": lambda: build_sector(2 * 10**5, 447),
+    "resonant-dim-449": lambda: build_sector(2 * 10**5, 448),
 }
+
+
+def _dense_cutoff(h):
+    """The largest dimension whose default route forms dense eigenvectors."""
+    return 448 if not np.any(h.diagonal - np.mean(h.diagonal)) else 224
 
 
 class TestCutoff:
@@ -453,11 +504,14 @@ class TestCutoff:
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, np.abs(row[:, i]) ** 2, rtol=0, atol=1e-11,
                                        err_msg=f"i={i}")
-        assert bool(calls) == (h.basis.dim <= 224)
+        assert bool(calls) == (h.basis.dim <= _dense_cutoff(h))
 
-    @pytest.mark.parametrize("omega", [1.0, 1.3], ids=["resonant", "detuned"])
-    @pytest.mark.parametrize("dim,dense", [(224, True), (225, False)])
+    @pytest.mark.parametrize("omega,dim,dense", [
+        (1.3, 224, True), (1.3, 225, False), (1.0, 448, True), (1.0, 449, False)],
+        ids=["detuned-224", "detuned-225", "resonant-448", "resonant-449"])
     def test_cutoff_is_dim_224(self, monkeypatch, omega, dim, dense):
+        # at most 224 rows of dense eigenvectors: the block's own, or the
+        # (dim + 1) // 2 of the half block of a resonant one
         h = build_sector(10**5, dim - 1, omega=omega)
         calls = _count_dense_calls(monkeypatch)
         exact_projection_probability(h, h.basis.states[1], TAU_16)
@@ -822,6 +876,132 @@ class TestHalfSpectrum:
         assert len(dense) == 3
 
 
+def _mp_half_spectrum(b, rows):
+    """The eigenvalues sigma > 0, ascending, of the zero-diagonal matrix with
+    off-diagonal b, and for each i in rows the doubled weights
+    2 v[0, k] v[i, k] at +sigma_k and v[0] v[i] at lambda = 0, from a
+    40-digit eigendecomposition of B^T B (mpmath's implicit QL, which takes
+    only the tridiagonal; a dense one would be O(dim^3) in Python). Over
+    even and odd sites the matrix is [[0, B], [B^T, 0]], and an eigenvector
+    z of B^T B gives (B z / sigma, z) / sqrt(2) at lambda = sigma; at an
+    odd dimension the lambda = 0 vector is x_2k+2 = -x_2k b_2k / b_2k+1 on
+    the even sites."""
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(float(x)) for x in b] + [mpmath.mpf(0)]  # b_j, and 0 past the end
+        m = len(c) // 2  # odd sites 2k + 1, z_k
+        # (B z)_k at even site 2k is b_2k z_k + b_2k-1 z_k-1
+        sites = {0: [(c[0], 0)]}
+        for i in rows:
+            j = i // 2
+            sites[i] = [(1, j)] if i % 2 else [(c[2 * j], j), (c[2 * j - 1], j - 1)]
+        need = sorted({j for terms in sites.values() for _, j in terms if 0 <= j < m})
+        z = mpmath.matrix(len(need), m)
+        for r, j in enumerate(need):
+            z[r, j] = 1
+        d = [c[2 * k] ** 2 + c[2 * k + 1] ** 2 for k in range(m)]
+        tridiag_eigen(mpmath.mp, d, [c[2 * k + 1] * c[2 * k + 2] for k in range(m - 1)] + [0], z)
+        sigma = [mpmath.sqrt(x) for x in d]  # d is now ascending, z its vectors' rows
+
+        def x(i, k):  # site i of the +sigma_k eigenvector, times sqrt(2)
+            value = sum(f * z[need.index(j), k] for f, j in sites[i] if 0 <= j < m)
+            return value if i % 2 else value / sigma[k]
+
+        zero = [mpmath.mpf(1)]
+        if len(b) % 2 == 0:  # odd dimension
+            for k in range(m):
+                zero.append(-zero[-1] * c[2 * k] / c[2 * k + 1])
+        norm2 = sum(t * t for t in zero) if len(b) % 2 == 0 else None
+        weights = {
+            i: (np.array([float(x(0, k) * x(i, k)) for k in range(m)]),
+                float(zero[0] * zero[i // 2] / norm2) if norm2 and i % 2 == 0 else 0.0)
+            for i in rows
+        }
+        return np.array([float(t) for t in sigma]), weights
+
+
+class TestHalfEigenvectors:
+    """The dense half route: eigenvectors of the half block of the initial
+    index's parity, B B^T or B^T B, for resonant blocks up to dim 448."""
+
+    @pytest.mark.parametrize("N,E", [(4000, 5), (10**5, 20), (10**5, 97), (2 * 10**5, 224),
+                                     (10**6, 448)],
+                             ids=["dim-6", "dim-21", "dim-98", "dim-225", "dim-449"])
+    def test_weights_match_mpmath(self, N, E):
+        # dims 6 to 225 take the dense half route, dim 449 the twisted one,
+        # which drops weights below 1e-20 (left at 0 here); the oracle
+        # decomposes B^T B, which the dense route does only for odd i
+        h = build_sector(N, E)
+        centred = replace(h, diagonal=np.zeros(h.basis.dim))
+        rows = [1, 2, E // 2, E - 1]
+        sigma, want = _mp_half_spectrum(h.off_diagonal, rows)
+        for i in rows:
+            w, weights, parity = exact_model._spectrum(centred, i)
+            assert parity == i % 2 and w[-1] == 0.0
+            k = np.argmin(np.abs(sigma[:, None] - w[None, :-1]), axis=0)
+            assert np.unique(k).size == k.size
+            np.testing.assert_allclose(w[:-1], sigma[k], rtol=0, atol=1e-12, err_msg=f"i={i}")
+            placed = np.zeros(sigma.size)
+            placed[k] = weights[:-1]
+            np.testing.assert_allclose(placed, want[i][0], rtol=0, atol=1e-13, err_msg=f"i={i}")
+            assert weights[-1] == pytest.approx(want[i][1], rel=0, abs=1e-13), i
+
+    @pytest.mark.parametrize("E", [300, 301], ids=["dim-301", "dim-302"])
+    @pytest.mark.parametrize("site", [0, 1, 150, 151])
+    def test_zero_coupling_matches_expm_multiply(self, monkeypatch, E, site):
+        # a dense eigendecomposition needs no connected block, unlike the
+        # twisted one, so the route stands where the twisted one falls back
+        h = build_sector(10**6, E)
+        off = h.off_diagonal.copy()
+        off[site] = 0.0
+        h = SectorHamiltonian(h.basis, h.diagonal, off)
+        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        indices = [0, 1, 2, 150, 151, E]
+        generator = diags([off, off], [-1, 1], format="csr")
+        starts = np.eye(h.basis.dim, dtype=complex)[:, indices]
+        psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
+                            num=TAU_16.size, endpoint=True)
+        for col, i in enumerate(indices):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, np.abs(psi[:, 0, col]) ** 2, rtol=0, atol=1e-11,
+                                       err_msg=f"i={i}")
+        assert not dense
+
+    @pytest.mark.parametrize("dim", [10, 11])
+    def test_zero_sigma_falls_back_for_odd_i(self, monkeypatch, dim):
+        # with no coupling at all every sigma is exactly zero: an odd i,
+        # whose row 0 is b_0 y_0 / sigma, fails the route, once, over to the
+        # dense block; an even i reads both rows off y, and cos(0 tau) = 1
+        h = SectorHamiltonian(SectorBasis(dim - 1, dim - 1), np.zeros(dim), np.zeros(dim - 1))
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            exact_model._half_eigenvectors(h.off_diagonal, 1)
+        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        for i in range(dim):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_array_equal(got, np.full(TAU_16.size, float(i == 0)))
+        assert len(dense) == dim // 2
+
+    def test_overflowing_square_falls_back(self, monkeypatch):
+        # couplings scaled by 1e160, where b^2 overflows; on TAU_16 * 1e-160
+        # the probabilities are those of the unscaled block
+        plain = build_sector(10**6, 300)
+        h = SectorHamiltonian(plain.basis, plain.diagonal, plain.off_diagonal * 1e160)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            exact_model._half_eigenvectors(h.off_diagonal, 0)
+        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        for i in (0, 1, 150):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e-160).values
+            want = exact_projection_probability(plain, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        assert len(dense) == 3
+
+    def test_vacuum_sector(self):
+        # dim 1: B B^T is the 1 x 1 zero, all of it the lambda = 0 vector
+        w, weights, parity = exact_model._half_eigenvectors(np.zeros(0), 0)
+        assert (w.tolist(), weights.tolist(), parity) == ([0.0], [1.0], 0)
+        trace = exact_projection_probability(build_sector(37, 0), (0, 0), TAU_16)
+        np.testing.assert_array_equal(trace.values, np.ones(TAU_16.size))
+
+
 class TestHpDeviation:
     def test_single_atom_exact_coincidence(self):
         assert hp_deviation(1, 1, 0, TAU_256) <= 1e-10
@@ -843,6 +1023,15 @@ class TestHpDeviation:
         for N in (500, 4000):
             assert hp_deviation(N, 1, 0, TAU_256) < 1e-12
             assert hp_deviation(N, 0, 1, TAU_256) < 1e-12
+
+    @pytest.mark.parametrize("N_atoms,n_e,n,name", [
+        (10**6, 10**4, 1, "n_e"), (10**6, 1, 10**4, "n"), (10**4 + 1, 10**4, 10**4, "N_atoms")])
+    def test_dimension_past_the_bound_names_an_argument(self, N_atoms, n_e, n, name):
+        # build_sector's own message names E, which is not an argument here
+        with pytest.raises(ValueError, match=f"^{name} must be small enough that the sector "
+                                             r"dimension min\(N_atoms, n_e \+ n\) \+ 1 is at "
+                                             "most 10001, got 10002$"):
+            hp_deviation(N_atoms, n_e, n, np.array([0.0, 1.0]))
 
     def test_regression_baseline_three_two(self):
         dev = hp_deviation(4000, 3, 2, TAU_256)
