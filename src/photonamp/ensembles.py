@@ -120,7 +120,7 @@ class DiscriminationReport:
     distances: np.ndarray
 
 
-def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray, gain: bool) -> np.ndarray:
+def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray) -> np.ndarray:
     """Poisson average over n of P(m, n, tau) for every m = 0..n_e, in one pass.
 
     With s2 = sin^2 and x = intensity * cos^2, the average is
@@ -129,34 +129,33 @@ def _poisson_averages(n_e: int, intensity: float, tau: np.ndarray, gain: bool) -
     q_{m+1} = s2 (q_m + x sigma_m / (m+1)), sigma_{m+1} = s2 sigma_m + q_{m+1}
     (DLMF 18.9) add only non-negative terms, so nothing cancels, unlike the
     three-term recurrence. exp(-intensity s2) is carried as a logarithm, so
-    the curve survives where it underflows. Returns q_{n_e}, sigma_{n_e} and
-    sum_m q_m, and with gain also sum_m sigma_m and sum_m m q_m, which only
-    the gain reads, as one read-only 3 (or 5) x len(tau) array; the n + m
-    photons left behind have moment m q_m + x sigma_m.
+    the curve survives where it underflows. Returns q_{n_e}, sigma_{n_e},
+    sum_m q_m, sum_m sigma_m and sum_m m q_m as one read-only 5 x len(tau)
+    array; the n + m photons left behind have moment m q_m + x sigma_m.
 
     The pass steps in place in preallocated rows, so no step allocates. It
     measures max(sigma) against the 1e100 rescaling threshold only when a
     running bound says it could be crossed: q <= sigma and a step grows
     sigma by at most 2 + intensity, so rescaling fires at the same steps as
     a measurement on every step would. The last result is kept in a
-    one-entry cache keyed by n_e, intensity, tau's shape and bytes, and
-    gain, so the pure and the mixed curve of one (n_e, intensity, grid)
-    share a single pass; the cache keeps that array alive until the next
-    miss.
+    one-entry cache keyed by n_e, intensity and tau's shape and bytes, so
+    the pure and the mixed curve of one (n_e, intensity, grid) share a
+    single pass; the cache keeps that 5 x len(tau) array alive until the
+    next miss.
     """
     (n_e,) = _require_whole(n_e=n_e)
     _require_finite(tau_grid=tau)  # before the pass and its cache
-    return _poisson_pass(n_e, intensity, tau.shape, tau.tobytes(), gain)
+    return _poisson_pass(n_e, intensity, tau.shape, tau.tobytes())
 
 
 @functools.lru_cache(maxsize=1)
-def _poisson_pass(n_e: int, intensity: float, shape: tuple, grid: bytes, gain: bool) -> np.ndarray:
-    tau = np.frombuffer(grid).reshape(shape)
+def _poisson_pass(n_e: int, intensity: float, shape: tuple, tau_bytes: bytes) -> np.ndarray:
+    tau = np.frombuffer(tau_bytes).reshape(shape)
     s2 = np.sin(tau) ** 2
     x = intensity * np.cos(tau) ** 2
     log_scale = -intensity * s2
-    out = np.zeros((5 if gain else 3, *shape))
-    q, sigma, q_sum, *sums = out  # rows of out, stepped in place
+    out = np.zeros((5, *shape))
+    q, sigma, q_sum, sigma_sum, m_q_sum = out  # rows of out, stepped in place
     q.fill(1.0)
     sigma.fill(1.0)
     term = np.empty(shape)
@@ -164,10 +163,9 @@ def _poisson_pass(n_e: int, intensity: float, shape: tuple, grid: bytes, gain: b
     bound = 1.0  # >= max(sigma)
     for m in range(n_e + 1):
         q_sum += q
-        if gain:
-            sums[0] += sigma
-            np.multiply(m, q, out=term)
-            sums[1] += term
+        sigma_sum += sigma
+        np.multiply(m, q, out=term)
+        m_q_sum += term
         if m == n_e:
             break
         np.multiply(x, sigma, out=term)
@@ -202,7 +200,7 @@ def coherent_projection_probability(
     if input.intensity == 0.0:  # the Fock vacuum
         values = ground_projection_probabilities(n_e, 0, tau)
     else:
-        values = _poisson_averages(n_e, input.intensity, tau, gain=False)[0]
+        values = _poisson_averages(n_e, input.intensity, tau)[0]
     return ProbabilityTrace(
         tau_grid=tau,
         values=np.minimum(values, 1.0),
@@ -221,7 +219,7 @@ def mixed_projection_probability(
     """Detection probability for the uniform atomic mixture with coherent
     radiation: the coherent curve averaged over the excitation components."""
     tau = np.asarray(tau_grid, dtype=float)
-    values = _poisson_averages(mix.n_e_max, input.intensity, tau, gain=False)[2] / (mix.n_e_max + 1)
+    values = _poisson_averages(mix.n_e_max, input.intensity, tau)[2] / (mix.n_e_max + 1)
     return ProbabilityTrace(
         tau_grid=tau,
         values=np.minimum(values, 1.0),
@@ -255,7 +253,7 @@ def intensity_gain(
     mixture = isinstance(atoms, AtomicMixture)
     n_e = atoms.n_e_max if mixture else atoms
     q, sigma, q_sum, sigma_sum, m_q_sum = _poisson_averages(
-        n_e, input.intensity, np.array([float(tau)]), gain=True)[:, 0]
+        n_e, input.intensity, np.array([float(tau)]))[:, 0]
     weight, sigma = (q_sum, sigma_sum) if mixture else (q, sigma)
     if weight <= 0.0:
         raise ValueError(

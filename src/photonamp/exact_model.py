@@ -388,6 +388,18 @@ def _twisted_weights(
     return w, v0 * vi
 
 
+def _half_block(b: np.ndarray, parity: int) -> tuple[np.ndarray, ...]:
+    """b_j-1 and b_j (0 past either end) at the sites j of one parity, and
+    the diagonal b_j-1^2 + b_j^2 and off-diagonal b_j b_j+1 of the half
+    block over them. Over those sites and the others the tridiagonal matrix
+    with zero diagonal and off-diagonal b is [[0, C], [C^T, 0]], and the
+    half block is C C^T: B^T B for parity 1, B B^T for parity 0. An
+    overflow of the squares follows the caller's errstate.
+    """
+    left, right = np.append(0.0, b)[parity::2], np.append(b, 0.0)[parity::2]
+    return left, right, left**2 + right**2, right[:-1] * left[1:]
+
+
 def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
     """Eigenvalues lambda > 0 of the tridiagonal matrix with zero diagonal
     and off-diagonal b, and v[0] v[i] and v[0]^2 of its lambda = 0 unit
@@ -395,17 +407,15 @@ def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
     B^T B or that vector overflows or divides by a zero b_2k+1, or where
     dpteqr fails. Over even and odd sites the matrix is [[0, B], [B^T, 0]],
     so lambda are the singular values of the bidiagonal B (Golub & Kahan
-    1965), the roots of the eigenvalues of B^T B, diagonal b_2k^2 + b_2k+1^2
-    and off-diagonal b_2k+1 b_2k+2. The lambda = 0 vector is 0 on odd sites
-    and x_2k+2 = -x_2k b_2k / b_2k+1.
+    1965), the roots of the eigenvalues of B^T B (`_half_block` of the odd
+    sites). The lambda = 0 vector is 0 on odd sites and
+    x_2k+2 = -x_2k b_2k / b_2k+1.
     """
     from scipy.linalg.lapack import dpteqr  # deferred, as in eigensystem
 
-    c = np.append(b, 0.0)  # b_k, and 0 past the end
-    even, odd = c[0:b.size:2], c[1:b.size + 1:2]  # b_2k and b_2k+1 by column of B
     x = np.zeros(0)  # the lambda = 0 eigenvector on the even sites, x_0 = 1
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        d, e = even ** 2 + odd ** 2, odd[:-1] * even[1:]
+        even, odd, d, e = _half_block(b, 1)  # b_2k and b_2k+1 by odd site 2k + 1
         if b.size % 2 == 0:  # odd dimension
             x = np.cumprod(np.append(1.0, -even / odd))
         norm2 = np.dot(x, x)
@@ -419,11 +429,9 @@ def _positive_half(b: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
 
 def _half_eigenvectors(b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, int]:
     """What `_spectrum` returns for the tridiagonal matrix with zero
-    diagonal and off-diagonal b, from the dense eigenvectors of a half-size
-    block. Over the sites of i's parity and the others the matrix is
-    [[0, C], [C^T, 0]]; C C^T (B B^T for even i, B^T B for odd i) is
-    tridiagonal over the sites j of i's parity, with diagonal
-    b_j-1^2 + b_j^2 and off-diagonal b_j b_j+1. A unit eigenvector y of it
+    diagonal and off-diagonal b, from the dense eigenvectors of the half
+    block C C^T over the sites of i's parity (`_half_block`), which
+    `eigensystem` forms as it does any block's. A unit eigenvector y of it
     gives (y, +-C^T y / sigma) / sqrt(2) at lambda = +-sigma, with
     sigma = |C^T y|: row i is read off y, and so is row 0 for even i, while
     for odd i row 0 is one product, b_0 y_0 / sigma. At an odd dimension
@@ -431,11 +439,10 @@ def _half_eigenvectors(b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, i
     FloatingPointError where b^2 or |C^T y|^2 overflows, or where an odd i
     divides by a zero sigma.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred, as in eigensystem
-
-    left, right = np.append(0.0, b)[i % 2::2], np.append(b, 0.0)[i % 2::2]  # b_j-1, b_j by site j
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        _, y = eigh_tridiagonal(left**2 + right**2, right[:-1] * left[1:])
+        left, right, d, e = _half_block(b, i % 2)
+        rows = SectorBasis(N_atoms=d.size, total_excitation=d.size - 1)  # labels d.size rows
+        _, y = eigensystem(SectorHamiltonian(rows, d, e))
         other = np.zeros((y.shape[0] + 1, y.shape[1]))  # C^T y at the sites j - 1, and one past
         other[:-1] = left[:, None] * y
         other[1:] += right[:, None] * y
@@ -455,27 +462,28 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     block with omega = omega0 = 1) solves only its eigenvalues lambda > 0:
     the weight at -lambda is (-1)^i times that at lambda, so the weights
     double and lambda = 0 is appended with its own weight. Up to dimension
-    2 * _DENSE_MAX_DIM (448) they come from the dense eigenvectors of the
-    half block of i's parity, B B^T or B^T B, of at most _DENSE_MAX_DIM
-    rows (`_half_eigenvectors`); above it from `_positive_half` and twisted factorizations
-    (`_twisted_weights`), checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1,
-    v_0(0) at lambda = 0. Every other block takes `eigensystem` up to
-    dimension _DENSE_MAX_DIM (224), and above it twists the eigenvalues of
-    LAPACK's sterf, without the dim x dim eigenvector matrix. Each route
-    but `eigensystem` reports a failure as a FloatingPointError, which
-    `_spectrum` catches in one place and answers with the dense
-    eigenvectors of the whole block: `_half_eigenvectors` and
-    `_positive_half` raise where b^2 overflows (couplings past about
-    1e154), the first also where an odd i meets a zero sigma and the second
-    where a zero coupling makes its lambda = 0 vector infinite, and
+    2 * _DENSE_MAX_DIM (448) they come from the dense eigenvectors that
+    `eigensystem` forms of the half block of i's parity, B B^T or B^T B,
+    of at most _DENSE_MAX_DIM rows (`_half_eigenvectors`); above it from
+    `_positive_half` and twisted factorizations (`_twisted_weights`),
+    checked by 2 sum_k v[0, k]^2 + v_0(0)^2 = 1, v_0(0) at lambda = 0.
+    Every other block takes `eigensystem` up to dimension _DENSE_MAX_DIM
+    (224), and above it twists the eigenvalues of LAPACK's sterf, without
+    the dim x dim eigenvector matrix. Each route but `eigensystem` reports
+    a failure as a FloatingPointError, which `_spectrum` catches in one
+    place and answers with the dense eigenvectors of the whole block:
+    `_half_eigenvectors` and `_positive_half` raise where b^2 overflows
+    (couplings past about 1e154), the first also where an odd i meets a
+    zero sigma and the second where a zero coupling makes its lambda = 0
+    vector infinite, and
     `_twisted_weights` on an overflow, another floating-point fault or a
     failed completeness check, seen only on hand-built blocks with a huge
     entry, a zero coupling or a split classical region.
 
     On resonant build_sector blocks of dim 6 to 448 the dense half route
-    lies within 5e-14 of the weights of a 40-digit eigendecomposition and
-    within 3.5e-13 of its eigenvalues; its probabilities on a 256-point grid
-    up to tau = pi lie within 1.1e-13 of the 40-digit ones (1e-15 at dim 6).
+    lies within 7e-14 of the weights of a 40-digit eigendecomposition and
+    within 3e-13 of its eigenvalues; its probabilities on a 256-point grid
+    up to tau = pi lie within 8e-14 of the 40-digit ones (1e-15 at dim 6).
 
     Both twisted routes are limited by the rounding of the eigenvalues,
     about eps * |H| * tau in each phase. On blocks of dimension 451 to

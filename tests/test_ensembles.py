@@ -214,16 +214,14 @@ class TestClosedForm:
 
 
 class TestPoissonPass:
-    @pytest.mark.parametrize("gain", [False, True], ids=["curves", "gain"])
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.3, 5.0, 700.0, 1e5])
     @pytest.mark.parametrize("n_e", [0, 1, 25, 1000])
-    def test_bit_for_bit_equal_to_the_reference(self, n_e, lam, grid, gain):
-        # without gain the pass leaves out the two rows only the gain reads
+    def test_bit_for_bit_equal_to_the_reference(self, n_e, lam, grid):
         ensembles._poisson_pass.cache_clear()
-        got = ensembles._poisson_averages(n_e, lam, grid, gain)
+        got = ensembles._poisson_averages(n_e, lam, grid)
         want, _ = reference_poisson_averages(n_e, lam, grid)
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want[:5 if gain else 3]]
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("lam,first", [(5.0, None), (700.0, 163), (1e5, 30)])
@@ -232,7 +230,7 @@ class TestPoissonPass:
         assert (rescaled_at[0] if rescaled_at else None) == first
 
     def test_cached_result_is_read_only(self):
-        values = ensembles._poisson_averages(25, 0.3, TAU, False)
+        values = ensembles._poisson_averages(25, 0.3, TAU)
         assert not values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.0
@@ -256,23 +254,21 @@ class TestPoissonPass:
             assert series[f"p_mixed_i{lam:g}"].tobytes() == mixed.tobytes()
 
     @pytest.mark.parametrize(
-        "n_e,lam,tau,gain",
+        "n_e,lam,tau",
         [
-            (26, 0.3, TAU, False),
-            (25, np.nextafter(0.3, 1.0), TAU, False),
-            (25, 0.3, np.where(TAU == TAU[5], np.nextafter(TAU[5], 0.0), TAU), False),
-            (25, 0.3, TAU.reshape(32, 32), False),  # the same bytes in another shape
-            (25, 0.3, TAU, True),  # the curves' pass lacks the gain's rows
+            (26, 0.3, TAU),
+            (25, np.nextafter(0.3, 1.0), TAU),
+            (25, 0.3, np.where(TAU == TAU[5], np.nextafter(TAU[5], 0.0), TAU)),
+            (25, 0.3, TAU.reshape(32, 32)),  # the same bytes in another shape
         ],
-        ids=["n_e", "intensity", "grid-values", "grid-shape", "gain"],
+        ids=["n_e", "intensity", "grid-values", "grid-shape"],
     )
-    def test_a_changed_argument_misses_the_cache(self, n_e, lam, tau, gain):
+    def test_a_changed_argument_misses_the_cache(self, n_e, lam, tau):
         ensembles._poisson_pass.cache_clear()
-        ensembles._poisson_averages(25, 0.3, TAU, False)
-        got = ensembles._poisson_averages(n_e, lam, tau, gain)
+        ensembles._poisson_averages(25, 0.3, TAU)
+        got = ensembles._poisson_averages(n_e, lam, tau)
         assert ensembles._poisson_pass.cache_info().misses == 2
-        want = reference_poisson_averages(n_e, lam, tau)[0][:5 if gain else 3]
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_poisson_averages(n_e, lam, tau)[0].tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

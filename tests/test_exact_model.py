@@ -244,7 +244,7 @@ class TestExactEvolution:
         a = diag - np.mean(diag)
         with pytest.raises(FloatingPointError, match="overflow"):
             exact_model._twisted_weights(a, h.off_diagonal, 1, _sterf(h))
-        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        dense = _count_dense_calls(monkeypatch)
         # the phase guard allows max|tau| up to about 4.5e-301 here
         values = exact_projection_probability(h, h.basis.states[1], np.array([0.0, 1e-302])).values
         assert len(dense) == 1
@@ -346,15 +346,12 @@ def _indices(h):
     return [0, 1, 3, h.basis.dim // 2, h.basis.dim // 2 + 1, h.basis.dim - 1]
 
 
-def _count_dense_calls(monkeypatch, *names):
-    """Records each call that forms dense eigenvectors, through `names`:
-    by default `eigensystem`, and `_half_eigenvectors` for a zero centred
-    diagonal."""
-    calls = []
-    for name in names or ("eigensystem", "_half_eigenvectors"):
-        dense = getattr(exact_model, name)
-        monkeypatch.setattr(exact_model, name,
-                            lambda *args, dense=dense: calls.append(1) or dense(*args))
+def _count_dense_calls(monkeypatch):
+    """Records the dimension of each block whose dense eigenvectors are
+    formed: the whole block's, or a resonant one's half block."""
+    calls, dense = [], exact_model.eigensystem
+    monkeypatch.setattr(exact_model, "eigensystem",
+                        lambda block: calls.append(block.basis.dim) or dense(block))
     return calls
 
 
@@ -515,7 +512,7 @@ class TestCutoff:
         h = build_sector(10**5, dim - 1, omega=omega)
         calls = _count_dense_calls(monkeypatch)
         exact_projection_probability(h, h.basis.states[1], TAU_16)
-        assert bool(calls) == dense
+        assert calls == ([224] if dense else [])
 
 
 def reference_pivot_pass(a, b, w, stop, i, x0=True):
@@ -954,7 +951,7 @@ class TestHalfEigenvectors:
         off = h.off_diagonal.copy()
         off[site] = 0.0
         h = SectorHamiltonian(h.basis, h.diagonal, off)
-        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        dense = _count_dense_calls(monkeypatch)
         indices = [0, 1, 2, 150, 151, E]
         generator = diags([off, off], [-1, 1], format="csr")
         starts = np.eye(h.basis.dim, dtype=complex)[:, indices]
@@ -964,7 +961,7 @@ class TestHalfEigenvectors:
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, np.abs(psi[:, 0, col]) ** 2, rtol=0, atol=1e-11,
                                        err_msg=f"i={i}")
-        assert not dense
+        assert h.basis.dim not in dense  # only half blocks, no fallback
 
     @pytest.mark.parametrize("dim", [10, 11])
     def test_zero_sigma_falls_back_for_odd_i(self, monkeypatch, dim):
@@ -974,11 +971,11 @@ class TestHalfEigenvectors:
         h = SectorHamiltonian(SectorBasis(dim - 1, dim - 1), np.zeros(dim), np.zeros(dim - 1))
         with pytest.raises(FloatingPointError, match="invalid value"):
             exact_model._half_eigenvectors(h.off_diagonal, 1)
-        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        dense = _count_dense_calls(monkeypatch)
         for i in range(dim):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_array_equal(got, np.full(TAU_16.size, float(i == 0)))
-        assert len(dense) == dim // 2
+        assert dense.count(dim) == dim // 2
 
     def test_overflowing_square_falls_back(self, monkeypatch):
         # couplings scaled by 1e160, where b^2 overflows; on TAU_16 * 1e-160
@@ -987,12 +984,12 @@ class TestHalfEigenvectors:
         h = SectorHamiltonian(plain.basis, plain.diagonal, plain.off_diagonal * 1e160)
         with pytest.raises(FloatingPointError, match="overflow"):
             exact_model._half_eigenvectors(h.off_diagonal, 0)
-        dense = _count_dense_calls(monkeypatch, "eigensystem")
+        dense = _count_dense_calls(monkeypatch)
         for i in (0, 1, 150):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e-160).values
             want = exact_projection_probability(plain, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
-        assert len(dense) == 3
+        assert dense.count(h.basis.dim) == 3
 
     def test_vacuum_sector(self):
         # dim 1: B B^T is the 1 x 1 zero, all of it the lambda = 0 vector
