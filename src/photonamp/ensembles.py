@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .hp_model import ground_projection_probabilities, ground_projection_probability
-from .numerics import _require_finite, _require_whole, _too_large
+from .numerics import _require_finite, _require_whole, _too_large, log_binomial
 from .traces import ProbabilityTrace
 
 __all__ = [
@@ -271,8 +271,9 @@ def intensity_gain(
 
 
 def perception_time(n_e: int, n: int) -> float:
-    """Scaled time at which P(n_e, n, tau) is maximal:
-    arccos(sqrt(n / (n + n_e))), in (0, pi/2] for n_e >= 1.
+    """Scaled time at which P(n_e, n, tau) is maximal: sin^2 tau =
+    n_e / (n_e + n), taken as atan2(sqrt(n_e), sqrt(n)), in (0, pi/2] for
+    n_e >= 1.
 
     The all-vacuum case n_e = n = 0 has a flat unit probability; pi/2 is
     returned by convention. With n_e = 0 and photons present the maximum
@@ -281,7 +282,7 @@ def perception_time(n_e: int, n: int) -> float:
     n_e, n = _require_whole(n_e=n_e, n=n)
     if n_e == 0 and n == 0:
         return math.pi / 2.0
-    return math.acos(math.sqrt(n / (n + n_e)))
+    return math.atan2(math.sqrt(n_e), math.sqrt(n))
 
 
 def _require_epsilon(epsilon: float) -> None:
@@ -293,31 +294,39 @@ def _require_epsilon(epsilon: float) -> None:
 
 def threshold_time(n_e: int, n: int, epsilon: float = 0.01) -> float:
     """Earliest scaled time at which the detection probability reaches
-    epsilon, located by bisection on the rising flank (the probability
-    increases monotonically up to the perception time)."""
+    epsilon, the first root of p^n_e (1 - p)^n = epsilon / C(n + n_e, n_e)
+    in p = sin^2 tau.
+
+    Newton's method solves it in w = ln p - ln(epsilon) / n_e, where
+    g(w) = n_e w + n ln(1 - p) + ln C is concave and rises up to the peak
+    p = n_e / (n_e + n). From w = -ln(C) / n_e, left of the root, the steps
+    climb to it without passing it; they stop when one gains nothing, and a
+    step that reaches the peak returns the perception time. The offset
+    ln(epsilon) / n_e stays out of the iterate, so sin tau =
+    epsilon^(1/(2 n_e)) e^(w/2) keeps its digits for the tiniest epsilon.
+    """
     _require_epsilon(epsilon)
     tau_peak = perception_time(n_e, n)
     peak = ground_projection_probability(n_e, n, tau_peak)
     if epsilon >= peak:
-        raise ValueError(
-            f"no threshold: epsilon={epsilon} is not below the peak "
-            f"probability {peak} of (n_e={n_e}, n={n})"
-        )
+        raise ValueError(f"no threshold: epsilon={epsilon} is not below the peak "
+                         f"probability {peak} of (n_e={n_e}, n={n})")
     if n_e == 0:
         return 0.0  # instant response: probability starts at 1 and falls
-    # bracket the first crossing on a coarse grid of the rising flank; where
-    # the grid's rounding of the peak falls below epsilon, the last step
-    grid = np.linspace(0.0, tau_peak, 257)
-    values = ground_projection_probabilities(n_e, n, grid)
-    hit = int(np.argmax(values >= epsilon)) or grid.size - 1
-    lo, hi = grid[hit - 1], grid[hit]
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if ground_projection_probability(n_e, n, mid) >= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # ln C is finite: the peak guard computed it
+    offset, log_c = math.log(epsilon) / n_e, log_binomial(n + n_e, n_e)
+    w, w_peak = -log_c / n_e, math.log(n_e / (n_e + n)) - offset
+    while True:
+        u = offset + w  # ln p < 0, so 1 - p = -expm1(u) > 0
+        g = n_e * w + n * math.log(-math.expm1(u)) + log_c
+        slope = n_e + n * math.exp(u) / math.expm1(u)  # g'(w), > 0 left of the peak
+        step = w - g / slope if slope > 0.0 else w_peak
+        if step >= w_peak:
+            return tau_peak
+        if step <= w:
+            return math.atan2(epsilon ** (0.5 / n_e) * math.exp(w / 2.0),
+                              math.sqrt(-math.expm1(u)))
+        w = step
 
 
 def discriminate_photon_number(

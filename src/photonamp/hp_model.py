@@ -153,7 +153,9 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     Evaluates C(n+n_e, n_e) * cos^(2n)(tau) * sin^(2n_e)(tau) through
     log-binomials so large sectors neither overflow nor lose the tail;
     vanishing bases enter only via the 0^0 = 1 convention (a zero
-    exponent drops the factor entirely).
+    exponent drops the factor entirely). No double tau lies within
+    4.7e-19 of an odd multiple of pi/2, so cos^2(tau) >= 2.2e-37 is never
+    zero; sin^2(tau) is zero at tau = 0.
     """
     n_e, n = _require_whole(n_e=n_e, n=n)
     _require_finite(tau=tau)
@@ -161,8 +163,6 @@ def ground_projection_probability(n_e: int, n: int, tau: float) -> float:
     s_sq = math.sin(tau) ** 2
     log_p = _log_binomial_of(n_e, n)
     if n > 0:
-        if c_sq == 0.0:
-            return 0.0
         log_p += n * math.log(c_sq)
     if n_e > 0:
         if s_sq == 0.0:

@@ -120,6 +120,13 @@ class TestFig3:
             )
 
 
+    def test_width_is_null_where_a_curve_does_not_fall_to_half(self, capsys):
+        # below tau = 0.5 every curve still rises, so no width is defined
+        assert run(["fig3", "--tau-max", "0.5", "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert [entry["fwhm"] for entry in summary.values()] == [None] * 4
+
+
 class TestWigner:
     def test_kernel_rows_are_unit_vectors(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -210,6 +217,13 @@ class TestSweep:
         assert math.isnan(data[1, 3])
 
 
+    def test_threshold_below_1e_13_keeps_its_digits(self, capsys):
+        # the bisection stopped at a width of 1e-13 and printed 4.46e-14
+        assert run(["sweep", "--n-e", "1", "--n", "0", "--epsilon", "1e-40",
+                    "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [
+            [1, 0, math.pi / 2, pytest.approx(1e-20, rel=1e-14, abs=0.0), 1.0]]
+
     def test_threshold_where_no_grid_point_reaches_epsilon(self, tmp_path):
         # the grid's closed form rounds the (1, 34) peak below this epsilon;
         # the row used to read 0.0849, where P = 0.197
@@ -250,6 +264,18 @@ class TestConfigFile:
         cfg.write_text("n=\n")
         assert run(["fig1", "--config", str(cfg)]) == 1
         assert "empty list" in capsys.readouterr().err
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# sweep defaults\n\n  \nn_e=2\n")
+        assert run(["sweep", "--config", str(cfg), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n_e"] == [2]
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_e 2\n")
+        assert run(["sweep", "--config", str(cfg)]) == 1
+        assert "malformed config line (expected key=value): 'n_e 2'" in capsys.readouterr().err
 
     def test_missing_config_file_is_usage_error(self, capsys):
         assert run(["fig1", "--config", "/no/such/file.cfg"]) == 1
@@ -450,6 +476,10 @@ class TestBulkWriters:
         text = emitted(cfg, payload, capsys)
         assert text_lines(text) == text_lines(reference_csv(payload))
         assert text.splitlines()[2] == "1,0,1.57079632679,nan,1"
+
+    def test_object_json_cannot_write_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not JSON serializable: object$"):
+            cli._json_default(object())
 
 
 class TestParserReuse:

@@ -20,7 +20,7 @@ from photonamp.ensembles import (
     perception_time,
     threshold_time,
 )
-from photonamp.hp_model import ground_projection_probabilities
+from photonamp.hp_model import ground_projection_probabilities, ground_projection_probability
 from photonamp.traces import ProbabilityTrace
 
 TAU = np.linspace(0.0, math.pi, 1024)
@@ -31,6 +31,20 @@ def mp_coherent(n_e, lam, tau):
     with mpmath.workdps(30):
         s2, c2 = mpmath.sin(tau) ** 2, mpmath.cos(tau) ** 2
         return float(mpmath.exp(-lam * s2) * s2**n_e * mpmath.laguerre(n_e, 0, -lam * c2))
+
+
+def mp_crossing(n_e, n, eps):
+    """The first tau with P(n_e, n, tau) = eps in 50-digit arithmetic: the
+    root in u = ln sin^2 tau of n_e u + n ln(1 - e^u) = ln(eps / C(n + n_e, n_e)),
+    bracketed by u = ln(eps / C) / n_e and the peak ln(n_e / (n_e + n))."""
+    with mpmath.workdps(50):
+        log_t = mpmath.log(eps) - mpmath.log(mpmath.binomial(n + n_e, n_e))
+        if n == 0:
+            return mpmath.asin(mpmath.exp(log_t / (2 * n_e)))
+        u = mpmath.findroot(
+            lambda u: n_e * u + n * mpmath.log(-mpmath.expm1(u)) - log_t,
+            (log_t / n_e, mpmath.log(mpmath.mpf(n_e) / (n_e + n))), solver="anderson")
+        return mpmath.asin(mpmath.exp(u / 2))
 
 
 def mp_mixed(n_e_max, lam, tau):
@@ -401,6 +415,16 @@ class TestPerceptionTime:
     def test_degenerate_vacuum_convention(self):
         assert perception_time(0, 0) == math.pi / 2
 
+    def test_within_two_ulp_of_mpmath(self):
+        # acos(sqrt(n / (n + n_e))) was off by 207 ulp at (1, 355) and by
+        # 5.2e6 ulp at (3, 10^8)
+        pairs = [(n_e, n) for n_e in range(1, 401, 37) for n in range(0, 401, 29)]
+        for n_e, n in pairs + [(1, 355), (3, 10**8)]:
+            with mpmath.workdps(40):
+                exact = mpmath.atan2(mpmath.sqrt(n_e), mpmath.sqrt(n))
+            tau = perception_time(n_e, n)
+            assert abs(tau - exact) <= 2 * math.ulp(tau), (n_e, n)
+
     @given(n_e=st.integers(1, 40), n=st.integers(0, 40))
     @settings(max_examples=40, deadline=None)
     def test_matches_numerical_argmax(self, n_e, n):
@@ -431,9 +455,41 @@ class TestThresholdTime:
 
             assert ground_projection_probability(n_e, n, tau) == pytest.approx(eps, rel=1e-6)
 
+    def test_no_excited_atoms_respond_at_once(self):
+        assert threshold_time(0, 3, 0.5) == 0.0
+
+    @pytest.mark.parametrize("eps,crossing", [(1e-30, 1e-15),
+                                              (5e-324, 2.2227587494850775e-162)])
+    def test_tiny_crossing_keeps_its_digits(self, eps, crossing):
+        # a bisection stopped at a width of 1e-13 returned 4.46e-14 for both
+        assert threshold_time(1, 0, eps) == pytest.approx(crossing, rel=1e-14, abs=0.0)
+
+    def test_matches_mpmath_crossing(self):
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(200):
+            n_e, n = int(rng.integers(1, 501)), int(rng.integers(0, 501))
+            peak = ground_projection_probability(n_e, n, perception_time(n_e, n))
+            eps = peak * 10.0 ** rng.uniform(-10.0, math.log10(0.9))
+            worst = max(worst, float(abs(threshold_time(n_e, n, eps) / mp_crossing(n_e, n, eps) - 1)))
+        assert worst <= 1e-12  # the bisection read 6.5e-12 on these inputs
+
+    @given(n_e=st.integers(1, 60), n=st.integers(0, 60),
+           fraction=st.floats(1e-300, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_one_closed_form_call_and_never_past_the_peak(self, n_e, n, fraction):
+        tau_peak = perception_time(n_e, n)
+        eps = fraction * ground_projection_probability(n_e, n, tau_peak)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensembles, "ground_projection_probability",
+                          lambda *args: calls.append(args) or ground_projection_probability(*args))
+            assert 0.0 < threshold_time(n_e, n, eps) <= tau_peak
+        assert calls == [(n_e, n, tau_peak)]  # the peak guard, and no other
+
     # every (n_e, n) below 80 where the grid's closed form rounds the peak
     # below the scalar one, with epsilon one float below the scalar peak
-    @pytest.mark.parametrize("n_e,n", [(1, 34), (2, 68), (7, 30), (14, 60), (30, 7),
+    @pytest.mark.parametrize("n_e,n", [(1, 34), (2, 68), (7, 30), (9, 58), (14, 60), (30, 7),
                                        (41, 70), (60, 14), (70, 41), (76, 35)])
     def test_epsilon_between_the_grid_and_the_scalar_peak(self, n_e, n):
         # no grid point reached epsilon, so the bracket fell back to the
@@ -470,7 +526,8 @@ def test_fractional_count_rejected(make, name):
 
 
 def test_whole_valued_counts_still_accepted():
-    assert perception_time(3.0, 1.0) == perception_time(np.int64(3), 1) == math.acos(0.5)
+    assert perception_time(3.0, 1.0) == perception_time(np.int64(3), 1) == math.atan2(
+        math.sqrt(3), 1.0)
     assert discriminate_photon_number(np.int64(10), 0.9553, np.int64(10)).inferred_n == 5
 
 
@@ -546,6 +603,8 @@ class TestProbabilityTrace:
             ProbabilityTrace(np.array([0.0, 1.0]), np.array([0.5, 1.5]), {})
         with pytest.raises(ValueError, match="equal length"):
             ProbabilityTrace(np.array([0.0, 1.0]), np.array([0.5]), {})
+        with pytest.raises(ValueError, match="at least one grid point"):
+            ProbabilityTrace(np.array([]), np.array([]), {})
 
     @pytest.mark.parametrize(
         "tau,values",

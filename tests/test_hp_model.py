@@ -74,6 +74,10 @@ class TestStateAndParams:
         with pytest.raises(ValueError, match="normalized"):
             AmplitudeVector(total_quanta=1, amplitudes=np.array([0.5, 0.5]))
 
+    def test_amplitude_vector_requires_one_amplitude_per_split(self):
+        with pytest.raises(ValueError, match="expected 3 amplitudes, got shape \\(2,\\)"):
+            AmplitudeVector(2, [1.0, 0.0])
+
     def test_amplitude_vector_rejects_nan(self):
         with pytest.raises(ValueError, match="normalized"):
             AmplitudeVector(total_quanta=1, amplitudes=np.array([math.nan, 0.0]))
@@ -192,6 +196,14 @@ class TestGroundProjectionProbability:
             math.cos(tau) ** 6, rel=1e-12
         )
         assert ground_projection_probability(0, 0, tau) == 1.0
+
+    def test_cosine_never_vanishes_at_a_double(self):
+        # the double closest to an odd multiple of pi/2, 4.7e-19 away, where
+        # cos^2 is smallest; the closed form needs no cos^2 == 0 branch
+        tau = math.ldexp(6381956970095103, 797)
+        assert abs(math.cos(tau)) == pytest.approx(4.687165924254620e-19, rel=1e-12)
+        assert ground_projection_probability(0, 1, tau) == pytest.approx(
+            math.cos(tau) ** 2, rel=1e-13)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
