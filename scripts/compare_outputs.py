@@ -37,7 +37,7 @@ INVOCATIONS = [
     ["discriminate", "--observed", "0.7"],
     ["exact-compare", "--format", "json"],
     ["sweep", "--format", "json"],
-    # crossings below 1e-13, which a bisection stopped at a width of 1e-13 lost
+    # crossings below 1e-13, which the default epsilon of 0.01 never reaches
     ["sweep", "--n-e", "1", "25", "--n", "0", "5", "--epsilon", "1e-40", "--format", "json"],
     ["fig3", "--format", "json", "--grid-points", "2049"],
     # a dim-701 resonant sector: the half-spectrum twisted route, which the

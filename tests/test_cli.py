@@ -119,7 +119,6 @@ class TestFig3:
                 summary[f"p_pure_i{lam}"]["peak_value"], abs=1e-9
             )
 
-
     def test_width_is_null_where_a_curve_does_not_fall_to_half(self, capsys):
         # below tau = 0.5 every curve still rises, so no width is defined
         assert run(["fig3", "--tau-max", "0.5", "--format", "json"]) == 0
@@ -215,7 +214,6 @@ class TestSweep:
         _, data = read_csv(out)
         assert data[0, 3] == pytest.approx(math.asin(math.sqrt(0.6)), abs=1e-9)
         assert math.isnan(data[1, 3])
-
 
     def test_threshold_below_1e_13_keeps_its_digits(self, capsys):
         # the bisection stopped at a width of 1e-13 and printed 4.46e-14
