@@ -40,6 +40,10 @@ INVOCATIONS = [
     # crossings below 1e-13, which the default epsilon of 0.01 never reaches
     ["sweep", "--n-e", "1", "25", "--n", "0", "5", "--epsilon", "1e-40", "--format", "json"],
     ["fig3", "--format", "json", "--grid-points", "2049"],
+    # the largest resonant sector whose half block, 16 rows, numpy's eigh
+    # solves (E = 31), and the smallest whose 17 rows take MRRR (E = 33)
+    ["exact-compare", "--n-e", "16", "--n", "15"],
+    ["exact-compare", "--n-e", "17", "--n", "16"],
     # a dim-701 resonant sector: the half-spectrum twisted route, which the
     # default E = 5 never reaches
     ["exact-compare", "--N", "40000", "80000", "160000", "320000", "--n-e", "300", "--n", "400",

@@ -27,7 +27,9 @@ eigenvalues plus one twisted factorization per eigenvalue, in O(dim)
 memory and O(dim^2) time, each pivot pass ending at its last twist and the
 top-down one retiring, every 32 sites, eigenvalues whose weight bound has
 fallen below 1e-20.
-Smaller blocks use LAPACK's dense eigenvectors, which are faster there. At
+Smaller blocks use LAPACK's dense eigenvectors, which are faster there:
+numpy's for at most _NUMPY_MAX_DIM (16) rows, so small sectors never
+import scipy.linalg, and scipy's MRRR on the tridiagonal above. At
 resonance the spectrum comes in +-lambda pairs, and blocks whose centred
 diagonal is exactly zero (omega = omega0 = 1) solve only its positive
 half, the singular values of a bidiagonal half of the block: from the
@@ -71,6 +73,16 @@ __all__ = [
 # 2.72/3.13 at 448. One cutoff keeps the largest eigenvector matrix at 224^2
 # on every route.
 _DENSE_MAX_DIM = 224
+# The largest block whose eigenvectors come from numpy's LAPACK (dsyevd on
+# the dense matrix), which numpy loads anyway; larger ones take scipy's
+# MRRR on the tridiagonal. Median of 3,000 interleaved `eigensystem` calls
+# on resonant half blocks, one BLAS thread on a 2-vCPU Xeon, numpy against
+# MRRR, in us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at 16,
+# 63.6/64.1 at 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and
+# 151.4/124.2 at 40; numpy won 80 % of the calls at 2 rows, 51 % at 16
+# and 17, 45-48 % from 20 to 32 and 5 % at 40. The cutoff sits where
+# numpy's lead has shrunk to a tie, below its losses from 20 rows.
+_NUMPY_MAX_DIM = 16
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
 _BLOCK = 1 << 16
@@ -155,7 +167,7 @@ class SectorHamiltonian:
         object.__setattr__(self, "off_diagonal", off)
 
     def dense(self) -> np.ndarray:
-        """Dense copy, mainly for cross-checks."""
+        """Dense copy, which `eigensystem` factors for small blocks."""
         h = np.diag(self.diagonal)
         idx = np.arange(self.basis.dim - 1)
         h[idx, idx + 1] = self.off_diagonal
@@ -214,18 +226,27 @@ def build_sector(
 
 
 def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of the block.
+    """Eigenvalues and orthonormal eigenvectors of the block: from numpy's
+    eigh of the dense matrix up to _NUMPY_MAX_DIM (16) rows, and from
+    scipy's MRRR (eigh_tridiagonal) above, so small sectors never import
+    scipy.linalg.
 
     The diagonal is shifted by its mean before factorization; the shift is
     a global phase under evolution and keeping eigenvalues small avoids
     rounding the fast common phase into the probabilities. Returned
     eigenvalues include the shift back.
     """
-    # deferred: scipy.linalg costs several MB at import, and only this needs it
-    from scipy.linalg import eigh_tridiagonal
-
     shift = float(np.mean(h.diagonal))
-    w, v = eigh_tridiagonal(h.diagonal - shift, h.off_diagonal)
+    if h.basis.dim <= _NUMPY_MAX_DIM:
+        centred = h.dense()
+        np.fill_diagonal(centred, h.diagonal - shift)
+        w, v = np.linalg.eigh(centred)
+    else:
+        # deferred, as in the twisted routes: scipy.linalg costs about 5 MB
+        # at import, even after scipy.special
+        from scipy.linalg import eigh_tridiagonal
+
+        w, v = eigh_tridiagonal(h.diagonal - shift, h.off_diagonal)
     return w + shift, v
 
 

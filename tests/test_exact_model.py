@@ -2,7 +2,11 @@
 cross-checks, conservation and symmetry properties, and convergence of the
 exact probabilities toward the closed binomial form."""
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -503,6 +507,24 @@ class TestCutoff:
                                        err_msg=f"i={i}")
         assert bool(calls) == (h.basis.dim <= _dense_cutoff(h))
 
+    @pytest.mark.parametrize("omega,dim,numpy", [
+        (1.3, 16, True), (1.3, 17, False), (1.0, 32, True), (1.0, 34, False)],
+        ids=["detuned-16", "detuned-17", "resonant-dim-32", "resonant-dim-34"])
+    def test_numpy_solves_up_to_16_rows(self, monkeypatch, omega, dim, numpy):
+        # numpy's eigh up to 16 rows of dense eigenvectors and scipy's MRRR
+        # above, both inside eigensystem: the block's own rows, or the
+        # (dim + 1) // 2 of a resonant one's half block
+        h = build_sector(10**5, dim - 1, omega=omega)
+        calls = _count_dense_calls(monkeypatch)
+        solvers = []
+        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "eigh_tridiagonal")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                solvers.append(name) or real(*args))
+        exact_projection_probability(h, h.basis.states[1], TAU_16)
+        rows = dim if omega != 1.0 else (dim + 1) // 2
+        assert (calls, solvers) == ([rows], ["eigh" if numpy else "eigh_tridiagonal"])
+
     @pytest.mark.parametrize("omega,dim,dense", [
         (1.3, 224, True), (1.3, 225, False), (1.0, 448, True), (1.0, 449, False)],
         ids=["detuned-224", "detuned-225", "resonant-448", "resonant-449"])
@@ -920,11 +942,13 @@ class TestHalfEigenvectors:
     """The dense half route: eigenvectors of the half block of the initial
     index's parity, B B^T or B^T B, for resonant blocks up to dim 448."""
 
-    @pytest.mark.parametrize("N,E", [(4000, 5), (10**5, 20), (10**5, 97), (2 * 10**5, 224),
-                                     (10**6, 448)],
-                             ids=["dim-6", "dim-21", "dim-98", "dim-225", "dim-449"])
+    @pytest.mark.parametrize("N,E", [(4000, 5), (10**5, 20), (10**5, 31), (10**5, 33),
+                                     (10**5, 97), (2 * 10**5, 224), (10**6, 448)],
+                             ids=["dim-6", "dim-21", "dim-32", "dim-34", "dim-98", "dim-225",
+                                  "dim-449"])
     def test_weights_match_mpmath(self, N, E):
-        # dims 6 to 225 take the dense half route, dim 449 the twisted one,
+        # dims 6 to 225 take the dense half route, numpy's eigh up to dim 32
+        # (16 rows) and MRRR from dim 34 (17 rows), dim 449 the twisted one,
         # which drops weights below 1e-20 (left at 0 here); the oracle
         # decomposes B^T B, which the dense route does only for odd i
         h = build_sector(N, E)
@@ -997,6 +1021,42 @@ class TestHalfEigenvectors:
         assert (w.tolist(), weights.tolist(), parity) == ([0.0], [1.0], 0)
         trace = exact_projection_probability(build_sector(37, 0), (0, 0), TAU_16)
         np.testing.assert_array_equal(trace.values, np.ones(TAU_16.size))
+
+
+def _imports_scipy_linalg(*args):
+    """Whether `python ARGS` in a fresh interpreter imports scipy.linalg,
+    read off the -X importtime lines on its stderr."""
+    src = str(pathlib.Path(exact_model.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return any(line.startswith("import time:") and line.rsplit("|", 1)[-1].strip()
+               == "scipy.linalg" for line in done.stderr.splitlines())
+
+
+def _solve(N, E, i, omega=1.0):
+    return ("-c", "import numpy as np; from photonamp.exact_model import *; "
+                  f"h = build_sector({N}, {E}, omega={omega}); "
+                  f"exact_projection_probability(h, h.basis.states[{i}], np.linspace(0, 3, 257))")
+
+
+class TestScipyLinalgImport:
+    """numpy's eigh solves blocks of up to 16 rows, so only a larger block,
+    or a twisted route, imports scipy.linalg."""
+
+    @pytest.mark.parametrize("args,loads", [
+        (("-c", "import photonamp"), False),
+        (("-m", "photonamp", "exact-compare"), False),
+        (_solve(1000, 31, 0), False),
+        (_solve(1000, 31, 1), False),
+        (_solve(1000, 15, 1, omega=1.3), False),
+        (_solve(1000, 33, 17), True),
+        (_solve(1000, 16, 1, omega=1.3), True),
+    ], ids=["import", "exact-compare", "half-block-16-even", "half-block-16-odd",
+            "detuned-dim-16", "half-block-17", "detuned-dim-17"])
+    def test_only_blocks_past_16_rows_import_it(self, args, loads):
+        assert _imports_scipy_linalg(*args) == loads
 
 
 class TestHpDeviation:
