@@ -80,8 +80,9 @@ _DENSE_MAX_DIM = 224
 # MRRR, in us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at 16,
 # 63.6/64.1 at 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and
 # 151.4/124.2 at 40; numpy won 80 % of the calls at 2 rows, 51 % at 16
-# and 17, 45-48 % from 20 to 32 and 5 % at 40. The cutoff sits where
-# numpy's lead has shrunk to a tie, below its losses from 20 rows.
+# and 17, 45-48 % from 20 to 32 and 5 % at 40. From 16 to 20 rows the
+# medians stay within 2 us and the share of wins moves from run to run
+# (48-64 % in three runs); from 24 rows numpy loses more calls than it wins.
 _NUMPY_MAX_DIM = 16
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its complex temporaries hold about this many elements.
