@@ -41,13 +41,17 @@ INVOCATIONS = [
     ["sweep", "--n-e", "1", "25", "--n", "0", "5", "--epsilon", "1e-40", "--format", "json"],
     ["fig3", "--format", "json", "--grid-points", "2049"],
     # the largest resonant sector whose half block, 16 rows, numpy's eigh
-    # solves (E = 31), and the smallest whose 17 rows take MRRR (E = 33)
+    # solves (E = 31), and the smallest whose 17 rows take scipy's stevd (E = 33)
     ["exact-compare", "--n-e", "16", "--n", "15"],
     ["exact-compare", "--n-e", "17", "--n", "16"],
     # a dim-701 resonant sector: the half-spectrum twisted route, which the
     # default E = 5 never reaches
     ["exact-compare", "--N", "40000", "80000", "160000", "320000", "--n-e", "300", "--n", "400",
      "--grid-points", "256", "--format", "json"],
+    # the same on the default 1024 points, 64 eigenvalues a phase block, so
+    # the kept eigenvalues span several blocks of the phase sum
+    ["exact-compare", "--N", "40000", "80000", "160000", "320000", "--n-e", "300", "--n", "400",
+     "--format", "json"],
 ]
 OUTPUT_PATH = re.compile(rb'"output_path": "(?:[^"\\]|\\.)*"')
 

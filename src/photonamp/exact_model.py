@@ -29,19 +29,24 @@ top-down one retiring, every 32 sites, eigenvalues whose weight bound has
 fallen below 1e-20.
 Smaller blocks use LAPACK's dense eigenvectors, which are faster there:
 numpy's for at most _NUMPY_MAX_DIM (16) rows, so small sectors never
-import scipy.linalg, and scipy's MRRR on the tridiagonal above. At
-resonance the spectrum comes in +-lambda pairs, and blocks whose centred
-diagonal is exactly zero (omega = omega0 = 1) solve only its positive
-half, the singular values of a bidiagonal half of the block: from the
-dense eigenvectors of a half-size block of at most _DENSE_MAX_DIM rows (up
-to dim 448), and by twisted factorizations above. `_spectrum` is the one
-place that picks among the routes, and a route that fails falls back to
-the dense eigenvectors of the whole block.
+import scipy.linalg, and scipy's divide and conquer on the tridiagonal
+(stevd) above. At resonance the spectrum comes in +-lambda pairs, and
+blocks whose centred diagonal is exactly zero (omega = omega0 = 1) solve
+only its positive half, the singular values of a bidiagonal half of the
+block: from the dense eigenvectors of a half-size block of at most
+_DENSE_MAX_DIM rows (up to dim 448), and by twisted factorizations above.
+`_spectrum` is the one place that picks among the routes. Before it does,
+a block with a zero coupling is split there and one with entries past
+2^500 is scaled by a power of two, both exactly; a route that still fails
+falls back to the dense eigenvectors of the block up to
+_FALLBACK_MAX_DIM (2001) rows and raises a ValueError above, so no solve
+holds a matrix of more than 2001^2 elements.
 """
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,21 +76,24 @@ __all__ = [
 # at 351, 3.08/3.46 (11.8) at 448, winning 40 or 41 of 41 calls at each of
 # seven dims from 98 to 448; on a 64-point grid 0.33/0.72 at 98 and
 # 2.72/3.13 at 448. One cutoff keeps the largest eigenvector matrix at 224^2
-# on every route.
+# on every route; only the fallback of a failed one goes further, up to
+# _FALLBACK_MAX_DIM.
 _DENSE_MAX_DIM = 224
 # The largest block whose eigenvectors come from numpy's LAPACK (dsyevd on
 # the dense matrix), which numpy loads anyway; larger ones take scipy's
-# MRRR on the tridiagonal. Median of 3,000 interleaved `eigensystem` calls
-# on resonant half blocks, one BLAS thread on a 2-vCPU Xeon, numpy against
-# MRRR, in us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at 16,
-# 63.6/64.1 at 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and
-# 151.4/124.2 at 40; numpy won 80 % of the calls at 2 rows, 51 % at 16
-# and 17, 45-48 % from 20 to 32 and 5 % at 40. From 16 to 20 rows the
-# medians stay within 2 us and the share of wins moves from run to run
-# (48-64 % in three runs); from 24 rows numpy loses more calls than it wins.
+# eigh_tridiagonal, whose default driver is stevd, divide and conquer on the
+# tridiagonal. Median of 3,000 interleaved `eigensystem` calls on resonant
+# half blocks, one BLAS thread on a 2-vCPU Xeon, numpy against stevd, in
+# us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at 16, 63.6/64.1 at
+# 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and 151.4/124.2 at
+# 40; numpy won 80 % of the calls at 2 rows, 51 % at 16 and 17, 45-48 %
+# from 20 to 32 and 5 % at 40. From 16 to 20 rows the medians stay within
+# 2 us and the share of wins moves from run to run (48-64 % in three
+# runs); from 24 rows numpy loses more calls than it wins.
 _NUMPY_MAX_DIM = 16
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
-# its complex temporaries hold about this many elements.
+# its one buffer, and the complex one of a whole spectrum, hold about this
+# many elements.
 _BLOCK = 1 << 16
 # A twisted-factorization weight x_0 x_i / |x|^2 is at most |x_0/x_j| at any
 # site j, since |x| >= |x_j|; eigenvalues where that is below this, at a
@@ -99,10 +107,15 @@ _COMPLETENESS_TOL = 1e-10
 # Largest allowed phase error bound eps * |H_centred| * max|tau|; the
 # tested blocks and the benchmark's grids stay below 1e-11.
 _PHASE_TOL = 1e-8
+# The largest block whose dense eigenvectors a failed twisted route falls back
+# to: 2001^2 doubles, 31 MB, the budget MAX_MATRIX_TWICE_J sets for a whole
+# rotation matrix. A larger block whose route fails raises a ValueError.
+_FALLBACK_MAX_DIM = 2001
 # Largest sector dimension min(N_atoms, E) + 1 that build_sector builds. At
-# this bound one resonant solve on a 256-point grid takes 0.51 s and peaks
-# at 3.1 MB by tracemalloc (a detuned one 1.8 s), on a 2-vCPU Xeon with one
-# BLAS thread; the time grows as dim^2 (1.8 s resonant at dim 20001).
+# this bound one solve from row E // 3 on a 256-point grid takes 0.49 s and
+# peaks at 2.0 MB by tracemalloc when resonant, 1.7 s and 3.5 MB detuned
+# (omega = 1.3), on a 2-vCPU Xeon with one BLAS thread; the time grows as
+# dim^2 (1.8 s resonant at dim 20001).
 MAX_SECTOR_DIM = 10**4 + 1
 
 
@@ -229,8 +242,8 @@ def build_sector(
 def eigensystem(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of the block: from numpy's
     eigh of the dense matrix up to _NUMPY_MAX_DIM (16) rows, and from
-    scipy's MRRR (eigh_tridiagonal) above, so small sectors never import
-    scipy.linalg.
+    scipy's eigh_tridiagonal (LAPACK stevd, divide and conquer) above, so
+    small sectors never import scipy.linalg.
 
     The diagonal is shifted by its mean before factorization; the shift is
     a global phase under evolution and keeping eigenvalues small avoids
@@ -463,8 +476,7 @@ def _half_eigenvectors(b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, i
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         left, right, d, e = _half_block(b, i % 2)
-        rows = SectorBasis(N_atoms=d.size, total_excitation=d.size - 1)  # labels d.size rows
-        _, y = eigensystem(SectorHamiltonian(rows, d, e))
+        _, y = eigensystem(_tridiagonal(d, e))
         other = np.zeros((y.shape[0] + 1, y.shape[1]))  # C^T y at the sites j - 1, and one past
         other[:-1] = left[:, None] * y
         other[1:] += right[:, None] * y
@@ -475,10 +487,25 @@ def _half_eigenvectors(b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, i
     return np.append(sigma, 0.0), np.append(x0 * y[i // 2, odd:], zero_weight), i % 2
 
 
-def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Eigenvalues w_k of a block centred on its mean diagonal, the weights
-    v[0, k] v[i, k] of its unit eigenvectors, and the parity: None for the
-    whole spectrum, i % 2 for the half lambda >= 0 of a +-lambda spectrum.
+def _tridiagonal(d: np.ndarray, e: np.ndarray) -> SectorHamiltonian:
+    """The tridiagonal matrix with diagonal d and off-diagonal e, as a block
+    that `eigensystem` takes; its basis only labels the d.size rows."""
+    return SectorHamiltonian(SectorBasis(N_atoms=d.size, total_excitation=d.size - 1), d, e)
+
+
+def _spectrum(a: np.ndarray, b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Eigenvalues w_k of the tridiagonal block with diagonal a, centred on
+    its mean, and off-diagonal b, the weights v[0, k] v[i, k] of its unit
+    eigenvectors, and the parity: None for the whole spectrum, i % 2 for
+    the half lambda >= 0 of a +-lambda spectrum.
+
+    Two kinds of block are changed exactly before any route is picked. A
+    zero coupling at site s splits the block: from a row i > s the
+    amplitude is zero, and otherwise the leading s + 1 rows, centred on
+    their own mean, are solved alone. A block whose largest entry lies
+    outside [2^-500, 2^500] is solved scaled by a power of two, and its
+    eigenvalues scaled back, so no square of an entry overflows or
+    underflows in the routes.
 
     A block with an exactly zero centred diagonal (every build_sector
     block with omega = omega0 = 1) solves only its eigenvalues lambda > 0:
@@ -492,15 +519,14 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     Every other block takes `eigensystem` up to dimension _DENSE_MAX_DIM
     (224), and above it twists the eigenvalues of LAPACK's sterf, without
     the dim x dim eigenvector matrix. Each route but `eigensystem` reports
-    a failure as a FloatingPointError, which `_spectrum` catches in one
-    place and answers with the dense eigenvectors of the whole block:
-    `_half_eigenvectors` and `_positive_half` raise where b^2 overflows
-    (couplings past about 1e154), the first also where an odd i meets a
-    zero sigma and the second where a zero coupling makes its lambda = 0
-    vector infinite, and
+    a failure as a FloatingPointError: `_positive_half` where dpteqr fails,
+    `_half_eigenvectors` where an odd i meets a zero sigma, and
     `_twisted_weights` on an overflow, another floating-point fault or a
-    failed completeness check, seen only on hand-built blocks with a huge
-    entry, a zero coupling or a split classical region.
+    failed completeness check, seen only on hand-built blocks with a split
+    classical region. `_spectrum` catches it in one place and answers with
+    the dense eigenvectors of the block it routed, whole or split, up to
+    _FALLBACK_MAX_DIM (2001) rows; above that it raises a ValueError naming
+    that block's dimension and the failure.
 
     On resonant build_sector blocks of dim 6 to 448 the dense half route
     lies within 7e-14 of the weights of a 40-digit eigendecomposition and
@@ -517,11 +543,26 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
     within 1e-13 on blocks of dim 225 to 512 and 4e-13 on blocks of dim
     513 to 3001.
     """
-    a, b = centred.diagonal, centred.off_diagonal
+    if not b.all():
+        s = int(np.flatnonzero(b == 0.0)[0])
+        if i > s:  # row i is not coupled to row 0
+            return np.zeros(1), np.zeros(1), None
+        a, b = a[:s + 1] - np.mean(a[:s + 1]), b[:s]
+    top = max(float(np.abs(a).max()), float(np.abs(b).max(initial=0.0)))
+    if 2.0**-500 <= top <= 2.0**500 or top == 0.0:
+        return _routes(a, b, i)
+    exponent = math.frexp(top)[1]
+    w, weights, parity = _routes(np.ldexp(a, -exponent), np.ldexp(b, -exponent), i)
+    return np.ldexp(w, exponent), weights, parity
+
+
+def _routes(a: np.ndarray, b: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """`_spectrum`'s route table, for a block with no zero coupling whose
+    largest entry lies within [2^-500, 2^500]."""
     try:
-        if not a.any() and centred.basis.dim <= 2 * _DENSE_MAX_DIM:  # (dim + 1) // 2 rows
+        if not a.any() and a.size <= 2 * _DENSE_MAX_DIM:  # (dim + 1) // 2 rows
             return _half_eigenvectors(b, i)
-        if centred.basis.dim > _DENSE_MAX_DIM:
+        if a.size > _DENSE_MAX_DIM:
             if not a.any():
                 w, zero_weight, zero_mass = _positive_half(b, i)
                 w, weights = _twisted_weights(a, b, i, w, (1.0 - zero_mass) / 2.0)
@@ -530,10 +571,38 @@ def _spectrum(centred: SectorHamiltonian, i: int) -> tuple[np.ndarray, np.ndarra
 
             w = eigvalsh_tridiagonal(a, b, lapack_driver="sterf")
             return (*_twisted_weights(a, b, i, w), None)
-    except FloatingPointError:  # a failed route: the dense eigenvectors below
-        pass
-    w, v = eigensystem(centred)
+    except FloatingPointError as failure:  # a failed route: the dense eigenvectors, up to the cap
+        if a.size > _FALLBACK_MAX_DIM:
+            raise ValueError(f"the block of dimension {a.size} failed its twisted route "
+                             f"({failure}), and its dense eigenvectors are formed only up to "
+                             f"dimension {_FALLBACK_MAX_DIM}") from None
+    w, v = eigensystem(_tridiagonal(a, b))
     return w, v[0, :] * v[i, :], None
+
+
+def _phase_sum(w: np.ndarray, weights: np.ndarray, parity: int | None, tau: np.ndarray):
+    """The amplitude sum_k weights_k phase(w_k tau) at every tau, with the
+    phase exp(-i w tau) over a whole spectrum (parity None), and over the
+    +-lambda pairs of a half spectrum cos for an even initial index
+    (parity 0) and sin for an odd one (parity 1). The
+    eigenvalues go in blocks of _BLOCK // len(tau): each block's w_k tau is
+    written into one preallocated buffer and its phase taken in place (in
+    a second, complex buffer for exp), so the working memory is that one
+    block, and its complex twin, whatever the number of eigenvalues.
+    """
+    step = max(1, _BLOCK // max(tau.size, 1))
+    x = np.empty((min(step, w.size), tau.size))
+    z = x if parity is not None else np.empty(x.shape, complex)
+    amps = 0
+    for k in range(0, w.size, step):
+        block, phase = x[:w.size - k], z[:w.size - k]
+        np.multiply.outer(w[k:k + step], tau, out=block)
+        if parity is None:
+            np.exp(np.multiply(-1j, block, out=phase), out=phase)
+        else:
+            (np.cos, np.sin)[parity](block, out=phase)
+        amps = amps + weights[k:k + step] @ phase
+    return amps
 
 
 def exact_projection_probability(
@@ -549,12 +618,18 @@ def exact_projection_probability(
     the eigenpairs of the block centred on its mean diagonal, from
     `_spectrum`; over a half spectrum, lambda >= 0, it is a real sum of
     cosines (even i) or sines (odd i). The phases are summed in blocks of
-    eigenvalues, so memory stays O(dim + len(tau)) above the dense cutoff.
+    eigenvalues, each written into one preallocated buffer (`_phase_sum`),
+    so above the dense cutoffs the working memory is O(dim) plus one block
+    of _BLOCK phases: from row 1000 of build_sector(10**6, 3000) on 256
+    points it peaks at 0.73 MB by tracemalloc, where a fresh array per
+    block and phase took 1.10 MB.
     A tau_grid that is not finite raises a ValueError naming it before any
     solve; so do a hand-built block whose width max(a) - min(a) + 4 max|b|
     overflows, naming the diagonal (a) or the off_diagonal (b), and then a
     tau_grid where the bound eps * |H_centred| * max|tau| exceeds
-    _PHASE_TOL (1e-8).
+    _PHASE_TOL (1e-8). A hand-built block above _FALLBACK_MAX_DIM (2001)
+    rows whose twisted route fails raises a ValueError naming its
+    dimension and the failure (`_spectrum`).
     """
     n_e0, n0 = initial
     i_init = h.basis.index_of(n_e0, n0)
@@ -574,14 +649,7 @@ def exact_projection_probability(
     if not sys.float_info.epsilon * norm * tau_max <= _PHASE_TOL:
         raise ValueError(f"tau_grid must keep the phase error bound eps*|H|*max|tau| "
                          f"within {_PHASE_TOL}, got max|tau| = {tau_max!r}")
-    w, weights, parity = _spectrum(replace(h, diagonal=a), i_init)
-    # over +-lambda pairs, cosines for even i and sines for odd i
-    phase = (np.cos, np.sin)[parity] if parity is not None else lambda x: np.exp(-1j * x)
-    step = max(1, _BLOCK // max(tau.size, 1))
-    amps = sum(
-        weights[k:k + step] @ phase(np.outer(w[k:k + step], tau))
-        for k in range(0, w.size, step)
-    )
+    amps = _phase_sum(*_spectrum(a, h.off_diagonal, i_init), tau)
     return ProbabilityTrace(
         tau_grid=tau,
         values=np.abs(amps) ** 2,

@@ -1,12 +1,14 @@
 """Finite-N sector solver tests: hand-checked matrix elements, dense expm
 cross-checks, conservation and symmetry properties, and convergence of the
 exact probabilities toward the closed binomial form."""
+import functools
 import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -238,9 +240,10 @@ class TestExactEvolution:
                                              "stays finite$"):
             exact_projection_probability(h, h.basis.states[1], np.array([0.0]))
 
-    def test_overflow_in_the_twisted_route_falls_back_to_dense(self, monkeypatch):
+    def test_overflow_in_the_twisted_route_is_scaled_away(self, monkeypatch):
         # one 1e308 on the diagonal leaves the width finite, but the twist
-        # element d + p - (a - w) overflows, which used to warn and go on
+        # element d + p - (a - w) overflows, which used to warn and go on;
+        # the block is solved scaled by 2^-1024, on the twisted route
         h = build_sector(10**6, 600, omega=1.3)
         diag = h.diagonal.copy()
         diag[0] = 1e308
@@ -248,10 +251,12 @@ class TestExactEvolution:
         a = diag - np.mean(diag)
         with pytest.raises(FloatingPointError, match="overflow"):
             exact_model._twisted_weights(a, h.off_diagonal, 1, _sterf(h))
-        dense = _count_dense_calls(monkeypatch)
+        dense, tops, real = _count_dense_calls(monkeypatch), [], exact_model._twisted_weights
+        monkeypatch.setattr(exact_model, "_twisted_weights",
+                            lambda a, *rest: tops.append(np.abs(a).max()) or real(a, *rest))
         # the phase guard allows max|tau| up to about 4.5e-301 here
         values = exact_projection_probability(h, h.basis.states[1], np.array([0.0, 1e-302])).values
-        assert len(dense) == 1
+        assert (dense, len(tops)) == ([], 1) and 0.5 <= tops[0] < 1.0
         np.testing.assert_allclose(values, 0.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("N,E", [(1, 1), (6, 3), (40, 5), (7, 9)])
@@ -359,6 +364,28 @@ def _count_dense_calls(monkeypatch):
     return calls
 
 
+def _split_block(split):
+    """The detuned dim-601 block with its coupling at site 300 set to zero,
+    or a concave diagonal whose low-lying states sit in both end wells."""
+    h = AROUND_CUTOFF["detuned"]()
+    if split == "zero-coupling":
+        off = h.off_diagonal.copy()
+        off[300] = 0.0
+        return SectorHamiltonian(h.basis, h.diagonal, off)
+    diag = -0.002 * (np.arange(h.basis.dim) - 300.0) ** 2
+    return SectorHamiltonian(h.basis, diag, np.ones(h.basis.dim - 1))
+
+
+def _row_zero_oracle(h, tau):
+    """|<0| exp(-i H_centred tau) |i>|^2 for every i, by expm_multiply of
+    the one start vector |0>: H is real symmetric, so <0|U|i> = <i|U|0>."""
+    a = h.diagonal - np.mean(h.diagonal)
+    generator = diags([h.off_diagonal, a, h.off_diagonal], [-1, 0, 1], format="csr")
+    psi = expm_multiply(-1j * generator, np.eye(h.basis.dim, 1, dtype=complex)[:, 0],
+                        start=0.0, stop=tau[-1], num=tau.size, endpoint=True)
+    return np.abs(psi) ** 2
+
+
 def both_paths(monkeypatch, h, i, tau, falls_back=False):
     """Probabilities from the dense eigenvectors and from the twisted
     factorizations, each forced through the cutoff; `falls_back` says
@@ -438,24 +465,38 @@ class TestTwistedWeights:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
     @pytest.mark.parametrize("split", ["zero-coupling", "two-wells"])
-    def test_split_block_falls_back_to_dense(self, monkeypatch, split):
+    def test_twisting_a_split_block_fails(self, split):
         # twisting where an eigenvector vanishes gives garbage, which the
-        # first-row completeness check sends to the dense eigenvectors
-        h = AROUND_CUTOFF["detuned"]()
-        if split == "zero-coupling":
-            off = h.off_diagonal.copy()
-            off[300] = 0.0
-            h = SectorHamiltonian(h.basis, h.diagonal, off)
-        else:  # a concave diagonal: low-lying states sit in both end wells
-            diag = -0.002 * (np.arange(h.basis.dim) - 300.0) ** 2
-            h = SectorHamiltonian(h.basis, diag, np.ones(h.basis.dim - 1))
-        for i in (0, 1, 300):
-            dense, twisted = both_paths(monkeypatch, h, i, TAU_16, falls_back=True)
-            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        # first-row completeness check reports
+        h = _split_block(split)
         a = h.diagonal - np.mean(h.diagonal)
         with pytest.raises(FloatingPointError, match="^twisted eigenvectors miss their first-row "
                                                      r"mass by \d"):
             exact_model._twisted_weights(a, h.off_diagonal, 0, _sterf(h))
+
+    def test_split_classical_region_falls_back_to_dense(self, monkeypatch):
+        h = _split_block("two-wells")
+        for i in (0, 1, 300):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16, falls_back=True)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+
+    def test_zero_coupling_splits_the_block(self, monkeypatch):
+        # the coupling at site 300 is zero: rows 0 to 300 are solved as a
+        # block of their own, densely or twisted, and the rows past them
+        # never reach row 0
+        h = _split_block("zero-coupling")
+        for i in (0, 1, 300):
+            dense, twisted = both_paths(monkeypatch, h, i, TAU_16)
+            np.testing.assert_allclose(twisted, dense, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        dense, sizes, real = _count_dense_calls(monkeypatch), [], exact_model._twisted_weights
+        monkeypatch.setattr(exact_model, "_twisted_weights",
+                            lambda a, *rest: sizes.append(a.size) or real(a, *rest))
+        want = _row_zero_oracle(h, TAU_16)
+        for i in (0, 300, 301, 600):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, want[:, i], rtol=0, atol=1e-11, err_msg=f"i={i}")
+            assert got.any() == (i <= 300)
+        assert (dense, sizes) == ([], [301, 301])
 
     def test_large_sector_keeps_no_quadratic_memory(self):
         # dense eigenvectors of this block alone would take 122 MB
@@ -511,9 +552,10 @@ class TestCutoff:
         (1.3, 16, True), (1.3, 17, False), (1.0, 32, True), (1.0, 34, False)],
         ids=["detuned-16", "detuned-17", "resonant-dim-32", "resonant-dim-34"])
     def test_numpy_solves_up_to_16_rows(self, monkeypatch, omega, dim, numpy):
-        # numpy's eigh up to 16 rows of dense eigenvectors and scipy's MRRR
-        # above, both inside eigensystem: the block's own rows, or the
-        # (dim + 1) // 2 of a resonant one's half block
+        # numpy's eigh up to 16 rows of dense eigenvectors and scipy's
+        # eigh_tridiagonal (stevd) above, both inside eigensystem: the
+        # block's own rows, or the (dim + 1) // 2 of a resonant one's half
+        # block
         h = build_sector(10**5, dim - 1, omega=omega)
         calls = _count_dense_calls(monkeypatch)
         solvers = []
@@ -535,6 +577,54 @@ class TestCutoff:
         calls = _count_dense_calls(monkeypatch)
         exact_projection_probability(h, h.basis.states[1], TAU_16)
         assert calls == ([224] if dense else [])
+
+
+def reference_phase_sum(w, weights, parity, tau):
+    """exact_model._phase_sum as it was before it reused one buffer: a
+    fresh np.outer and a fresh phase array for every block."""
+    phase = (np.cos, np.sin)[parity] if parity is not None else lambda x: np.exp(-1j * x)
+    step = max(1, exact_model._BLOCK // max(tau.size, 1))
+    return sum(
+        weights[k:k + step] @ phase(np.outer(w[k:k + step], tau))
+        for k in range(0, w.size, step)
+    )
+
+
+# twisted blocks that keep 615 (resonant) and 741 (detuned) eigenvalues
+PHASE_BLOCKS = {
+    "resonant-even": (lambda: build_sector(3000, 3000), 1500, 0),
+    "resonant-odd": (lambda: build_sector(3000, 3000), 1501, 1),
+    "detuned": (lambda: build_sector(10**6, 3000, omega=1.3), 1500, None),
+}
+
+
+@functools.cache
+def _phase_spectrum(block):
+    make, i, parity = PHASE_BLOCKS[block]
+    h = make()
+    w, weights, got_parity = exact_model._spectrum(h.diagonal - np.mean(h.diagonal),
+                                                   h.off_diagonal, i)
+    assert got_parity == parity
+    return w, weights, parity
+
+
+class TestPhaseSum:
+    @pytest.mark.parametrize("points", [64, 256, 1024])
+    @pytest.mark.parametrize("block", PHASE_BLOCKS)
+    def test_bitwise_equal_to_fresh_arrays_per_block(self, monkeypatch, block, points):
+        # the kept eigenvalues span at least three blocks, so the buffer is
+        # reused and its last block is cut short. On 64 points a block holds
+        # 1,024 eigenvalues, more than any build_sector block up to
+        # MAX_SECTOR_DIM keeps (at most about 1,400), so there the block is
+        # lowered to a third of them; on 256 and 1,024 points it is _BLOCK.
+        w, weights, parity = _phase_spectrum(block)
+        step = min(exact_model._BLOCK // points, (w.size - 1) // 2)
+        monkeypatch.setattr(exact_model, "_BLOCK", step * points)
+        assert -(-w.size // step) >= 3 and w.size % step
+        tau = np.linspace(0.0, math.pi, points)
+        got = exact_model._phase_sum(w, weights, parity, tau)
+        assert got.dtype == (float if parity is not None else complex)
+        assert got.tobytes() == reference_phase_sum(w, weights, parity, tau).tobytes()
 
 
 def reference_pivot_pass(a, b, w, stop, i, x0=True):
@@ -826,37 +916,95 @@ class TestHalfSpectrum:
             want = _dense_fallback(monkeypatch, h, i, TAU_16)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
 
-    @pytest.mark.parametrize("site", [300, 301])
-    def test_zero_coupling_falls_back(self, monkeypatch, site):
+    @pytest.mark.parametrize("site", [300, 301, 500, 501])
+    def test_zero_coupling_splits_the_block(self, monkeypatch, site):
         # a zero b_2k makes B singular, which fails the twisted completeness
-        # check; a zero b_2k+1 makes the lambda = 0 eigenvector infinite
+        # check; a zero b_2k+1 makes the lambda = 0 eigenvector infinite. So
+        # the leading site + 1 rows are solved alone: by the dense half route
+        # up to 448 of them, by the twisted one above, and never as the
+        # whole block
         h = _zero_coupling(site)
         if site % 2:
             with pytest.raises(FloatingPointError, match="divide by zero"):
                 exact_model._positive_half(h.off_diagonal, 0)
         calls, half = [], exact_model._positive_half
         monkeypatch.setattr(exact_model, "_positive_half",
-                            lambda b, i: calls.append(i) or half(b, i))
+                            lambda b, i: calls.append(b.size + 1) or half(b, i))
+        dense = _count_dense_calls(monkeypatch)
         generator = diags([h.off_diagonal, h.off_diagonal], [-1, 1], format="csr")
-        starts = np.eye(h.basis.dim, dtype=complex)[:, [0, 1, 300]]
+        starts = np.eye(h.basis.dim, dtype=complex)[:, [0, 1, 300, site + 1]]
         psi = expm_multiply(-1j * generator, starts, start=0.0, stop=TAU_16[-1],
                             num=TAU_16.size, endpoint=True)
-        for col, i in enumerate((0, 1, 300)):
+        for col, i in enumerate((0, 1, 300, site + 1)):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, np.abs(psi[:, 0, col]) ** 2, rtol=0, atol=1e-11,
                                        err_msg=f"i={i}")
-        assert calls == [0, 1, 300]
+        twisted = site + 1 > 448
+        assert calls == ([site + 1] * 3 if twisted else [])
+        assert len(dense) == (0 if twisted else 3) and max(dense, default=0) <= (site + 2) // 2
 
-    def test_overflowing_square_falls_back(self, monkeypatch):
+    def test_zero_coupling_at_dim_3001_keeps_linear_memory(self, monkeypatch):
+        # the dense fallback of the whole block took 144 MB and about three
+        # times a normal solve's time; split at site 2000, its leading 2001
+        # rows take the twisted half route, and rows past 2000 give 0
+        plain = build_sector(10**6, 3000)
+        off = plain.off_diagonal.copy()
+        off[2000] = 0.0
+        h = SectorHamiltonian(plain.basis, plain.diagonal, off)
+        tau = np.linspace(0.0, math.pi, 256)
+        dense = _count_dense_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            exact_projection_probability(h, h.basis.states[1000], tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        times = {"plain": [], "split": []}
+        for _ in range(3):
+            for name, block in (("plain", plain), ("split", h)):
+                start = time.perf_counter()
+                exact_projection_probability(block, block.basis.states[1000], tau)
+                times[name].append(time.perf_counter() - start)
+        assert min(times["split"]) < 1.5 * min(times["plain"])
+        want = _row_zero_oracle(h, TAU_16)
+        for i in (0, 1, 1000, 2000, 2001, 3000):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, want[:, i], rtol=0, atol=1e-11, err_msg=f"i={i}")
+        assert dense == []
+
+    def test_overflowing_square_is_scaled_away(self, monkeypatch):
+        # b^2 overflows, so the block is solved scaled by a power of two: on
+        # the half-spectrum route, with no dense eigendecomposition and no
+        # sterf eigenvalues
+        def no_sterf(*args, **kwargs):
+            raise AssertionError("took the general route")
+
         h = _huge_couplings()
         with pytest.raises(FloatingPointError):
             exact_model._positive_half(h.off_diagonal, 0)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_sterf)
+        attempts, real = [], exact_model._twisted_weights
+        monkeypatch.setattr(exact_model, "_twisted_weights",
+                            lambda a, b, i, *rest: attempts.append(i) or real(a, b, i, *rest))
+        dense = _count_dense_calls(monkeypatch)
         for i in (0, 1, 300):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e-160).values
-            np.testing.assert_array_equal(
-                got, _dense_fallback(monkeypatch, h, i, TAU_16 * 1e-160))
             want = exact_projection_probability(RESONANT["dim-601"](), h.basis.states[i], TAU_16)
             np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        assert (attempts, dense) == ([0, 0, 1, 1, 300, 300], [])
+
+    def test_tiny_couplings_are_scaled_up(self, monkeypatch):
+        # couplings of 1e-160, whose squares underflow, on TAU_16 * 1e160
+        # have the probabilities of the unscaled block
+        plain = RESONANT["dim-601"]()
+        h = SectorHamiltonian(plain.basis, plain.diagonal, plain.off_diagonal * 1e-160)
+        dense = _count_dense_calls(monkeypatch)
+        for i in (0, 1, 300):
+            got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e160).values
+            want = exact_projection_probability(plain, h.basis.states[i], TAU_16).values
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
+        assert dense == []
 
     def test_failed_dpteqr_falls_back(self, monkeypatch):
         # no build_sector block makes dpteqr report a failure; one that did
@@ -873,26 +1021,78 @@ class TestHalfSpectrum:
             assert got.tobytes() == _dense_fallback(monkeypatch, h, i, TAU_16).tobytes()
             dense.clear()
 
-    @pytest.mark.parametrize("block,tau,twisted", [
-        (lambda: _zero_coupling(300), TAU_16, True),  # B singular: the twisted check fails
-        (_huge_couplings, TAU_16 * 1e-160, False),  # b^2 overflows
-    ], ids=["zero-coupling", "couplings-1e160"])
-    def test_failed_route_goes_straight_to_dense(self, monkeypatch, block, tau, twisted):
+    @pytest.mark.parametrize("failure,twisted", [
+        ("completeness", True),  # the twisted check fails
+        ("dpteqr", False),  # the eigenvalues fail
+    ])
+    def test_failed_route_goes_straight_to_dense(self, monkeypatch, failure, twisted):
         # a failed half spectrum is not retried as the whole spectrum: at
         # most one twisted attempt per call, and no sterf eigenvalues
         def no_sterf(*args, **kwargs):
             raise AssertionError("took the general route")
 
-        h = block()
+        h = RESONANT["dim-601"]()
+        if failure == "completeness":
+            monkeypatch.setattr(exact_model, "_COMPLETENESS_TOL", -1.0)
+        else:
+            real_dpteqr = lapack.dpteqr
+            monkeypatch.setattr(lapack, "dpteqr", lambda *args: (*real_dpteqr(*args)[:3], 1))
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_sterf)
         attempts, real = [], exact_model._twisted_weights
         monkeypatch.setattr(exact_model, "_twisted_weights",
                             lambda a, b, i, *rest: attempts.append(i) or real(a, b, i, *rest))
         dense = _count_dense_calls(monkeypatch)
         for i in (0, 1, 300):
-            exact_projection_probability(h, h.basis.states[i], tau)
+            exact_projection_probability(h, h.basis.states[i], TAU_16)
         assert attempts == ([0, 1, 300] if twisted else [])
-        assert len(dense) == 3
+        assert dense == [601] * 3
+
+
+def _two_wells(dim):
+    """A concave diagonal over dim rows, unit couplings: the split classical
+    region that fails the twisted completeness check."""
+    diag = -0.002 * (np.arange(dim) - 300.0) ** 2
+    return SectorHamiltonian(SectorBasis(dim - 1, dim - 1), diag, np.ones(dim - 1))
+
+
+class TestDenseFallbackCap:
+    """A block whose twisted route fails takes the dense eigenvectors only
+    up to 2001 rows; a larger one raises a ValueError that names it."""
+
+    def test_failed_block_at_the_cap_falls_back(self, monkeypatch):
+        assert exact_model._FALLBACK_MAX_DIM == 2001
+        h = _two_wells(2001)
+        dense = _count_dense_calls(monkeypatch)
+        values = exact_projection_probability(h, h.basis.states[1], TAU_16).values
+        assert dense == [2001]
+        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
+
+    def test_failed_block_above_the_cap_names_its_dimension(self, monkeypatch):
+        dense = _count_dense_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"^the block of dimension 2002 failed its twisted "
+                                             r"route \(twisted eigenvectors miss their first-row "
+                                             r"mass by [\d.e+-]+\), and its dense eigenvectors "
+                                             "are formed only up to dimension 2001$"):
+            exact_projection_probability(_two_wells(2002), (1, 2000), TAU_16)
+        assert dense == []
+
+    def test_failed_dpteqr_above_the_cap_names_it(self, monkeypatch):
+        real = lapack.dpteqr
+        monkeypatch.setattr(lapack, "dpteqr", lambda *args: (*real(*args)[:3], 1))
+        h = build_sector(10**6, 3000)
+        with pytest.raises(ValueError, match=r"^the block of dimension 3001 failed its twisted "
+                                             r"route \(dpteqr failed with info = 1\)"):
+            exact_projection_probability(h, h.basis.states[1000], TAU_16)
+
+    def test_cap_applies_to_the_split_block(self):
+        # the leading 2002 rows of a dim-3001 block split at site 2001
+        h = _two_wells(3001)
+        off = h.off_diagonal.copy()
+        off[2001] = 0.0
+        h = SectorHamiltonian(h.basis, h.diagonal, off)
+        with pytest.raises(ValueError, match="^the block of dimension 2002 failed"):
+            exact_projection_probability(h, h.basis.states[1], TAU_16)
+        assert not exact_projection_probability(h, h.basis.states[2002], TAU_16).values.any()
 
 
 def _mp_half_spectrum(b, rows):
@@ -948,15 +1148,14 @@ class TestHalfEigenvectors:
                                   "dim-449"])
     def test_weights_match_mpmath(self, N, E):
         # dims 6 to 225 take the dense half route, numpy's eigh up to dim 32
-        # (16 rows) and MRRR from dim 34 (17 rows), dim 449 the twisted one,
+        # (16 rows) and stevd from dim 34 (17 rows), dim 449 the twisted one,
         # which drops weights below 1e-20 (left at 0 here); the oracle
         # decomposes B^T B, which the dense route does only for odd i
         h = build_sector(N, E)
-        centred = replace(h, diagonal=np.zeros(h.basis.dim))
         rows = [1, 2, E // 2, E - 1]
         sigma, want = _mp_half_spectrum(h.off_diagonal, rows)
         for i in rows:
-            w, weights, parity = exact_model._spectrum(centred, i)
+            w, weights, parity = exact_model._spectrum(np.zeros(h.basis.dim), h.off_diagonal, i)
             assert parity == i % 2 and w[-1] == 0.0
             k = np.argmin(np.abs(sigma[:, None] - w[None, :-1]), axis=0)
             assert np.unique(k).size == k.size
@@ -988,10 +1187,11 @@ class TestHalfEigenvectors:
         assert h.basis.dim not in dense  # only half blocks, no fallback
 
     @pytest.mark.parametrize("dim", [10, 11])
-    def test_zero_sigma_falls_back_for_odd_i(self, monkeypatch, dim):
-        # with no coupling at all every sigma is exactly zero: an odd i,
-        # whose row 0 is b_0 y_0 / sigma, fails the route, once, over to the
-        # dense block; an even i reads both rows off y, and cos(0 tau) = 1
+    def test_uncoupled_block_splits_at_site_0(self, monkeypatch, dim):
+        # with no coupling at all every sigma is exactly zero, and an odd i,
+        # whose row 0 is b_0 y_0 / sigma, would fail the route; the block
+        # splits at site 0 instead, so row 0 is a block of its own, solved
+        # once, and cos(0 tau) = 1, while every other row gives 0
         h = SectorHamiltonian(SectorBasis(dim - 1, dim - 1), np.zeros(dim), np.zeros(dim - 1))
         with pytest.raises(FloatingPointError, match="invalid value"):
             exact_model._half_eigenvectors(h.off_diagonal, 1)
@@ -999,11 +1199,12 @@ class TestHalfEigenvectors:
         for i in range(dim):
             got = exact_projection_probability(h, h.basis.states[i], TAU_16).values
             np.testing.assert_array_equal(got, np.full(TAU_16.size, float(i == 0)))
-        assert dense.count(dim) == dim // 2
+        assert dense == [1]
 
-    def test_overflowing_square_falls_back(self, monkeypatch):
+    def test_overflowing_square_is_scaled_away(self, monkeypatch):
         # couplings scaled by 1e160, where b^2 overflows; on TAU_16 * 1e-160
-        # the probabilities are those of the unscaled block
+        # the probabilities are those of the unscaled block, from the half
+        # blocks of the block scaled by a power of two
         plain = build_sector(10**6, 300)
         h = SectorHamiltonian(plain.basis, plain.diagonal, plain.off_diagonal * 1e160)
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -1013,7 +1214,7 @@ class TestHalfEigenvectors:
             got = exact_projection_probability(h, h.basis.states[i], TAU_16 * 1e-160).values
             want = exact_projection_probability(plain, h.basis.states[i], TAU_16).values
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11, err_msg=f"i={i}")
-        assert dense.count(h.basis.dim) == 3
+        assert dense == [151, 151, 150, 150, 151, 151]  # each call's half block, and its twin's
 
     def test_vacuum_sector(self):
         # dim 1: B B^T is the 1 x 1 zero, all of it the lambda = 0 vector
