@@ -37,10 +37,10 @@ block: from the dense eigenvectors of a half-size block of at most
 _DENSE_MAX_DIM rows (up to dim 448), and by twisted factorizations above.
 `_spectrum` is the one place that picks among the routes. Before it does,
 a block with a zero coupling is split there and one with entries past
-2^500 is scaled by a power of two, both exactly; a route that still fails
-falls back to the dense eigenvectors of the block up to
-_FALLBACK_MAX_DIM (2001) rows and raises a ValueError above, so no solve
-holds a matrix of more than 2001^2 elements.
+2^500, or all below 2^-500, is scaled by a power of two, both exactly; a
+route that still fails falls back to the dense eigenvectors of the block
+up to _FALLBACK_MAX_DIM (2001) rows and raises a ValueError above, so no
+solve holds a matrix of more than 2001^2 elements.
 """
 from __future__ import annotations
 
@@ -81,15 +81,15 @@ __all__ = [
 _DENSE_MAX_DIM = 224
 # The largest block whose eigenvectors come from numpy's LAPACK (dsyevd on
 # the dense matrix), which numpy loads anyway; larger ones take scipy's
-# eigh_tridiagonal, whose default driver is stevd, divide and conquer on the
-# tridiagonal. Median of 3,000 interleaved `eigensystem` calls on resonant
-# half blocks, one BLAS thread on a 2-vCPU Xeon, numpy against stevd, in
-# us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at 16, 63.6/64.1 at
-# 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and 151.4/124.2 at
-# 40; numpy won 80 % of the calls at 2 rows, 51 % at 16 and 17, 45-48 %
-# from 20 to 32 and 5 % at 40. From 16 to 20 rows the medians stay within
-# 2 us and the share of wins moves from run to run (48-64 % in three
-# runs); from 24 rows numpy loses more calls than it wins.
+# eigh_tridiagonal, whose default LAPACK routine is stevd, divide and
+# conquer on the tridiagonal. Median of 3,000 interleaved `eigensystem`
+# calls on resonant half blocks, one BLAS thread on a 2-vCPU Xeon, numpy
+# against stevd, in us: 32.4/36.5 at 2 rows, 40.6/43.4 at 8, 63.2/63.7 at
+# 16, 63.6/64.1 at 17, 77.9/77.6 at 20, 67.2/67.7 at 24, 87.3/87.1 at 32 and
+# 151.4/124.2 at 40; numpy won 80 % of the calls at 2 rows, 51 % at 16 and
+# 17, 45-48 % from 20 to 32 and 5 % at 40. From 16 to 20 rows the medians
+# stay within 2 us and the share of wins moves from run to run (48-64 % in
+# three runs); from 24 rows numpy loses more calls than it wins.
 _NUMPY_MAX_DIM = 16
 # The phase sum takes the eigenvalues in blocks of _BLOCK // len(tau), so
 # its one buffer, and the complex one of a whole spectrum, hold about this
@@ -109,7 +109,9 @@ _COMPLETENESS_TOL = 1e-10
 _PHASE_TOL = 1e-8
 # The largest block whose dense eigenvectors a failed twisted route falls back
 # to: 2001^2 doubles, 31 MB, the budget MAX_MATRIX_TWICE_J sets for a whole
-# rotation matrix. A larger block whose route fails raises a ValueError.
+# rotation matrix (LAPACK stevd's workspace is as large again: the fallback
+# at 2001 rows peaks at 61 MB by tracemalloc). A larger block whose route
+# fails raises a ValueError.
 _FALLBACK_MAX_DIM = 2001
 # Largest sector dimension min(N_atoms, E) + 1 that build_sector builds. At
 # this bound one solve from row E // 3 on a 256-point grid takes 0.49 s and

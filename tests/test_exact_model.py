@@ -590,7 +590,7 @@ def reference_phase_sum(w, weights, parity, tau):
     )
 
 
-# twisted blocks that keep 615 (resonant) and 741 (detuned) eigenvalues
+# twisted blocks that keep 614 (resonant) and 741 (detuned) eigenvalues
 PHASE_BLOCKS = {
     "resonant-even": (lambda: build_sector(3000, 3000), 1500, 0),
     "resonant-odd": (lambda: build_sector(3000, 3000), 1501, 1),
